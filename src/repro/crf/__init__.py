@@ -5,7 +5,9 @@ appendix of *Who is .com? Learning to Parse WHOIS Records* (IMC 2015):
 log-space forward-backward for the normalization factor and marginals
 (eqs. 9-12), Viterbi decoding (eqs. 13-17), the convex log-likelihood
 objective (eq. 11) with its exact gradient, and both batch (L-BFGS) and
-stochastic (AdaGrad SGD) parameter estimation.
+stochastic (AdaGrad SGD) parameter estimation.  Every recursion runs
+batched over padded sequences (:mod:`repro.crf.batch`,
+:mod:`repro.crf.decode`); a single sequence is a batch of one.
 
 The public entry point is :class:`ChainCRF`, which consumes sequences of
 *attribute lists* (one list of string attributes per token) and label
@@ -15,17 +17,8 @@ transition features.
 """
 
 from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
-from repro.crf.inference import (
-    edge_marginals,
-    log_forward,
-    log_backward,
-    log_partition,
-    node_marginals,
-    posterior_score,
-    viterbi,
-)
 from repro.crf.analysis import ModelSummary, model_summary, prune, top_weight_share
-from repro.crf.batch import EncodedBatch, batch_nll_grad
+from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.model import ChainCRF
 from repro.crf.train import LBFGSTrainer, SGDTrainer, TrainLog, TrainerState
@@ -34,6 +27,7 @@ __all__ = [
     "ChainCRF",
     "EncodedBatch",
     "ModelSummary",
+    "batch_forward_backward",
     "batch_marginals",
     "batch_nll_grad",
     "batch_viterbi",
@@ -47,11 +41,4 @@ __all__ = [
     "Sequence",
     "TrainLog",
     "TrainerState",
-    "edge_marginals",
-    "log_backward",
-    "log_forward",
-    "log_partition",
-    "node_marginals",
-    "posterior_score",
-    "viterbi",
 ]

@@ -1,12 +1,22 @@
-"""Batched (vectorized) computation of the CRF objective.
+"""Batched (vectorized) CRF potentials, forward-backward and objective.
 
-The per-sequence routines in :mod:`repro.crf.objective` are easy to verify
-but spend most of their time in Python loops.  Training on corpora of
-hundreds or thousands of WHOIS records (each 20-80 lines) needs the
-forward-backward recursions batched across records: all sequences are
-padded to a common length and the per-timestep updates run as dense numpy
-ops over the whole batch.  Results are identical to the per-sequence code
-(tested to ~1e-8), just 1-2 orders of magnitude faster.
+This is the one place the appendix's recursions run, in log space.  For
+a batch of ``R`` sequences padded to length ``T``:
+
+- ``emit``:  ``(R, T, S)``, where ``emit[r, t, j]`` is the sum of the
+  weights of all observation features firing for label ``j`` at token
+  ``t`` (plus the start weight at ``t = 0``);
+- ``trans``: ``(R, T-1, S, S)``, where ``trans[r, t, i, j]`` is the sum
+  of the weights of all transition features firing on the edge between
+  tokens ``t`` and ``t+1`` for the label pair ``(i, j)`` -- the log of
+  the matrix ``M_t`` of eq. (9).
+
+Training on corpora of hundreds or thousands of WHOIS records (each 20-80
+lines) and decoding survey-scale batches both need the recursions
+batched across records: the per-timestep updates run as dense numpy ops
+over the whole batch, masked past each record's own length, in
+``O(S^2 T)`` per record as eq. (10) promises.  A single record is simply
+a batch of one.
 """
 
 from __future__ import annotations
@@ -17,8 +27,22 @@ import numpy as np
 
 from repro.crf.arena import TensorArena, get_arena
 from repro.crf.features import EncodedSequence, FeatureIndex
-from repro.crf.inference import _NEG_INF, _logsumexp
 from repro.crf.objective import ParamView
+
+_NEG_INF = -1e30  # floor for log-sum-exp maxima; exp() underflows to 0
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtraction log-sum-exp along ``axis``.
+
+    Equivalent to ``scipy.special.logsumexp`` for finite inputs but
+    measurably faster on the small arrays the recursions iterate over
+    (no dispatch overhead, no keepdims bookkeeping beyond one squeeze).
+    """
+    m = np.max(x, axis=axis, keepdims=True)
+    m = np.maximum(m, _NEG_INF)  # keep padded rows finite
+    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 def _scatter_rows(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -83,6 +107,10 @@ class EncodedBatch:
         t_edge = t_max - 1 if t_max > 1 else 1
         for r, (seq, labels) in enumerate(dataset):
             if labels is not None:
+                if len(labels) != len(seq):
+                    raise ValueError(
+                        f"sequence of length {len(seq)} has {len(labels)} labels"
+                    )
                 self.labels[r, : len(seq)] = labels
             obs_flat, obs_counts = seq.packed_obs()
             obs_flat_parts.append(obs_flat)
@@ -113,13 +141,15 @@ class EncodedBatch:
         self.edge_a = np.fromiter(
             chain.from_iterable(edge_lists), dtype=np.intp, count=len(self.edge_rt)
         )
-        # Mask of valid tokens, and of valid transitions (t < length-1).
-        steps = np.arange(t_max)
+        self._set_masks()
+
+    def _set_masks(self) -> None:
+        """Masks of valid tokens and of valid transitions (t < length-1)."""
+        steps = np.arange(self.t_max)
         self.token_mask = steps[None, :] < self.lengths[:, None]
-        if t_max > 1:
-            self.trans_mask = steps[None, : t_max - 1] < (self.lengths - 1)[:, None]
-        else:
-            self.trans_mask = np.zeros((n_records, 0), dtype=bool)
+        self.trans_mask = (
+            steps[None, : self.t_max - 1] < (self.lengths - 1)[:, None]
+        )
         self.n_tokens = int(self.lengths.sum())
 
     @classmethod
@@ -129,6 +159,32 @@ class EncodedBatch:
         """Inference-only batch over unlabeled encoded sequences."""
         return cls([(seq, None) for seq in sequences], index)
 
+    def subset(self, rows: np.ndarray) -> "EncodedBatch":
+        """The batch restricted to the given record rows, in that order.
+
+        Rows keep the parent's padded length; the occurrence arrays are
+        remapped to the new row positions.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        sub = object.__new__(EncodedBatch)
+        sub.n_states = self.n_states
+        sub.lengths = self.lengths[rows]
+        sub.n_records = len(rows)
+        sub.t_max = self.t_max
+        sub.labels = self.labels[rows]
+        order = np.argsort(rows, kind="stable")
+        rows_sorted = rows[order]
+        keep, sub.obs_rt = _remap_rows(
+            self.obs_rt, self.t_max, rows_sorted, order
+        )
+        sub.obs_a = self.obs_a[keep]
+        keep_e, sub.edge_rt = _remap_rows(
+            self.edge_rt, max(self.t_max - 1, 1), rows_sorted, order
+        )
+        sub.edge_a = self.edge_a[keep_e]
+        sub._set_masks()
+        return sub
+
     # ------------------------------------------------------------------
 
     def chunks(self, chunk_size: int):
@@ -137,26 +193,23 @@ class EncodedBatch:
             yield self
             return
         for start in range(0, self.n_records, chunk_size):
-            rows = np.arange(start, min(start + chunk_size, self.n_records))
-            yield _subset(self, rows)
+            yield self.subset(
+                np.arange(start, min(start + chunk_size, self.n_records))
+            )
 
     def potentials(
-        self, view: ParamView, *, arena: TensorArena | None = None
+        self, view: ParamView, arena: TensorArena
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batch emission ``(R,T,S)`` and transition ``(R,T-1,S,S)`` scores.
 
-        With an ``arena``, both tensors are backed by its pooled buffers
-        (valid until the arena's next batch); without one, fresh arrays
-        are allocated as before.  When no edge attributes fire the arena
-        path returns the transition block as a read-only broadcast view
-        of ``view.trans`` -- zero copies for the common homogeneous case.
+        Both tensors are backed by the ``arena``'s pooled buffers, valid
+        until its next batch.  When no edge attributes fire the
+        transition block is a read-only broadcast view of ``view.trans``
+        -- zero copies for the common homogeneous case.
         """
         n_r, t_max, n_s = self.n_records, self.t_max, self.n_states
         t1 = max(t_max - 1, 0)
-        if arena is None:
-            emit = np.zeros((n_r * t_max, n_s))
-        else:
-            emit = arena.zeros("pot_emit", (n_r * t_max, n_s))
+        emit = arena.zeros("pot_emit", (n_r * t_max, n_s))
         if self.obs_a.size:
             _scatter_rows(emit, self.obs_rt, view.obs[self.obs_a])
         emit = emit.reshape(n_r, t_max, n_s)
@@ -164,24 +217,16 @@ class EncodedBatch:
         # Padding tokens get -inf emissions except state 0, so they
         # contribute a fixed additive constant we cancel explicitly: instead
         # we simply never read alpha past each sequence's length.
-        if self.edge_a.size:
-            if arena is None:
-                trans = np.broadcast_to(view.trans, (n_r * t1, n_s, n_s)).copy()
-            else:
-                trans = arena.take("pot_trans", (n_r * t1, n_s, n_s))
-                trans[:] = view.trans
-            _scatter_rows(
-                trans.reshape(len(trans), -1),
-                self.edge_rt,
-                view.edge[self.edge_a].reshape(len(self.edge_a), -1),
-            )
-            trans = trans.reshape(n_r, t1, n_s, n_s)
-        elif arena is None:
-            trans = np.broadcast_to(view.trans, (n_r * t1, n_s, n_s)).copy()
-            trans = trans.reshape(n_r, t1, n_s, n_s)
-        else:
-            trans = np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
-        return emit, trans
+        if not self.edge_a.size:
+            return emit, np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
+        trans = arena.take("pot_trans", (n_r * t1, n_s, n_s))
+        trans[:] = view.trans
+        _scatter_rows(
+            trans.reshape(len(trans), -1),
+            self.edge_rt,
+            view.edge[self.edge_a].reshape(len(self.edge_a), -1),
+        )
+        return emit, trans.reshape(n_r, t1, n_s, n_s)
 
     def observed_score(self, emit: np.ndarray, trans: np.ndarray) -> float:
         """Sum of potentials along the gold label paths of the batch."""
@@ -203,20 +248,19 @@ def batch_forward_backward(
     batch: EncodedBatch,
     emit: np.ndarray,
     trans: np.ndarray,
-    *,
-    arena: TensorArena | None = None,
+    arena: TensorArena,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched alpha, beta, and per-record logZ.
+    """Batched alpha, beta, and per-record logZ (eqs. (9)-(10)).
 
-    With an ``arena`` the alpha/beta tables live in its pooled buffers and
-    are only valid until the next batch on the same arena; ``log_z`` is
-    always a fresh array.
+    ``alpha[r, t, j]`` is the log-sum over label prefixes of record ``r``
+    ending in ``j`` at ``t``; ``beta[r, t, i]`` the log-sum over suffixes
+    after ``i``; ``log_z[r]`` is ``log Z(x)`` of eq. (3).  Past a record's
+    last token alpha carries forward and beta stays 0.  The alpha/beta
+    tables live in the ``arena``'s pooled buffers and are only valid
+    until its next batch; ``log_z`` is always a fresh array.
     """
     n_r, t_max, n_s = emit.shape
-    if arena is None:
-        alpha = np.empty((n_r, t_max, n_s))
-    else:
-        alpha = arena.take("fb_alpha", (n_r, t_max, n_s))
+    alpha = arena.take("fb_alpha", (n_r, t_max, n_s))
     alpha[:, 0] = emit[:, 0]
     for t in range(1, t_max):
         prev = alpha[:, t - 1]
@@ -228,10 +272,7 @@ def batch_forward_backward(
     last = batch.lengths - 1
     log_z = _logsumexp(alpha[np.arange(n_r), last], axis=1)
 
-    if arena is None:
-        beta = np.zeros((n_r, t_max, n_s))
-    else:
-        beta = arena.zeros("fb_beta", (n_r, t_max, n_s))
+    beta = arena.zeros("fb_beta", (n_r, t_max, n_s))
     for t in range(t_max - 2, -1, -1):
         nxt = emit[:, t + 1] + beta[:, t + 1]
         scores = trans[:, t] + nxt[:, None, :]
@@ -271,8 +312,8 @@ def _chunk_nll_grad(
     # values that outlive the chunk (nll, gradient updates) are scalars or
     # accumulated into grad_view, so nothing arena-backed escapes.
     arena = get_arena()
-    emit, trans = batch.potentials(view, arena=arena)
-    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena=arena)
+    emit, trans = batch.potentials(view, arena)
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena)
     nll = float(log_z.sum()) - batch.observed_score(emit, trans)
 
     # Node marginals, zeroed on padding.
@@ -325,29 +366,3 @@ def _remap_rows(
     pos = np.minimum(pos, len(rows_sorted) - 1)
     keep = rows_sorted[pos] == occ_rows
     return keep, new_rows[pos[keep]] * stride + flat[keep] % stride
-
-
-def _subset(batch: EncodedBatch, rows: np.ndarray) -> EncodedBatch:
-    """View of a batch restricted to the given record rows (re-encoded)."""
-    sub = object.__new__(EncodedBatch)
-    sub.n_states = batch.n_states
-    sub.lengths = batch.lengths[rows]
-    sub.n_records = len(rows)
-    sub.t_max = batch.t_max
-    sub.labels = batch.labels[rows]
-    rows = np.asarray(rows, dtype=np.intp)
-    order = np.argsort(rows, kind="stable")
-    rows_sorted = rows[order]
-    keep, sub.obs_rt = _remap_rows(batch.obs_rt, batch.t_max, rows_sorted, order)
-    sub.obs_a = batch.obs_a[keep]
-    t1 = max(batch.t_max - 1, 1)
-    keep_e, sub.edge_rt = _remap_rows(batch.edge_rt, t1, rows_sorted, order)
-    sub.edge_a = batch.edge_a[keep_e]
-    steps = np.arange(batch.t_max)
-    sub.token_mask = steps[None, :] < sub.lengths[:, None]
-    if batch.t_max > 1:
-        sub.trans_mask = steps[None, : batch.t_max - 1] < (sub.lengths - 1)[:, None]
-    else:
-        sub.trans_mask = np.zeros((sub.n_records, 0), dtype=bool)
-    sub.n_tokens = int(sub.lengths.sum())
-    return sub

@@ -1,18 +1,15 @@
 """Batched (vectorized) decoding for linear-chain CRFs.
 
-Training is already batched (:mod:`repro.crf.batch`), but the paper's
-headline workload is *prediction*: Section 6 parses 102M com records with
-a trained model.  The per-sequence :func:`repro.crf.inference.viterbi`
-spends its time in a per-timestep Python loop over tiny ``(S, S)`` arrays;
-here the same recursions run across ``R`` padded sequences at once, so the
-Python loop is ``O(T_max)`` per batch instead of ``O(T)`` per record.
+The paper's headline workload is *prediction*: Section 6 parses 102M com
+records with a trained model.  Viterbi (eqs. (13)-(17)) and the
+per-token posteriors (eq. (12)) run here across ``R`` padded sequences
+at once, so the Python loop is ``O(T_max)`` per batch instead of
+``O(T)`` per record; a single record is a batch of one.
 
-Both routines take an inference-only :class:`~repro.crf.batch.EncodedBatch`
-(built via :meth:`EncodedBatch.from_encoded`, labels not required) plus the
-batch potentials ``emit (R, T, S)`` / ``trans (R, T-1, S, S)``, and return
-per-record arrays trimmed to each sequence's true length.  Results are
-identical to the per-sequence routines: same argmax tie-breaking for
-Viterbi, forward-backward agreeing to ~1e-10 for the marginals.
+Both routines take an :class:`~repro.crf.batch.EncodedBatch` (built via
+:meth:`EncodedBatch.from_encoded` for inference, labels not required)
+plus the batch potentials ``emit (R, T, S)`` / ``trans (R, T-1, S, S)``,
+and return per-record arrays trimmed to each sequence's true length.
 """
 
 from __future__ import annotations
@@ -27,23 +24,18 @@ def batch_viterbi(
     batch: EncodedBatch,
     emit: np.ndarray,
     trans: np.ndarray,
-    *,
-    arena: TensorArena | None = None,
+    arena: TensorArena,
 ) -> list[np.ndarray]:
     """Most likely label sequence per record, eqs. (13)-(17) batched.
 
     Returns one int array of length ``lengths[r]`` per record, in batch
-    order.  Matches :func:`repro.crf.inference.viterbi` exactly (both use
-    first-index ``argmax`` tie-breaking).  With an ``arena`` the padded
-    backpointer/label tables reuse pooled buffers; the returned per-record
-    paths are always fresh copies and never alias arena storage.
+    order, with first-index ``argmax`` tie-breaking.  The padded
+    backpointer/label tables reuse the ``arena``'s pooled buffers; the
+    returned per-record paths are fresh copies and never alias them.
     """
     n_r, t_max, n_s = emit.shape
     value = emit[:, 0].copy()  # eq. (14), carried forward on padding
-    if arena is None:
-        back = np.empty((n_r, max(t_max - 1, 0), n_s), dtype=np.intp)
-    else:
-        back = arena.take("vit_back", (n_r, max(t_max - 1, 0), n_s), np.intp)
+    back = arena.take("vit_back", (n_r, max(t_max - 1, 0), n_s), np.intp)
     rows = np.arange(n_r)
     for t in range(1, t_max):
         scores = value[:, :, None] + trans[:, t - 1]  # eq. (15) inner bracket
@@ -58,10 +50,7 @@ def batch_viterbi(
     # `value` now holds each record's Viterbi values at its *own* final
     # token (padding steps never overwrite it).
     last = batch.lengths - 1
-    if arena is None:
-        labels = np.full((n_r, t_max), -1, dtype=np.intp)
-    else:
-        labels = arena.full("vit_labels", (n_r, t_max), -1, np.intp)
+    labels = arena.full("vit_labels", (n_r, t_max), -1, np.intp)
     labels[rows, last] = np.argmax(value, axis=1)
     for t in range(t_max - 2, -1, -1):  # eq. (17)
         nxt = np.maximum(labels[:, t + 1], 0)  # padded rows masked below
@@ -74,24 +63,20 @@ def batch_marginals(
     batch: EncodedBatch,
     emit: np.ndarray,
     trans: np.ndarray,
-    *,
-    arena: TensorArena | None = None,
+    arena: TensorArena,
 ) -> list[np.ndarray]:
     """Per-token posteriors ``Pr(y_t | x)`` per record, shape ``(T_r, S)``.
 
     The batched forward-backward of the training path provides alpha, beta
     and per-record ``log Z``; each record's marginals are sliced out of the
-    padded block.  Returned arrays are fresh copies, safe to hold across
-    batches whether or not an ``arena`` backs the intermediates.
+    padded block.  Returned arrays are fresh copies, safe to hold after
+    the ``arena``'s next batch.
     """
-    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena=arena)
-    if arena is None:
-        node = np.exp(alpha + beta - log_z[:, None, None])
-    else:
-        node = arena.take("marg_node", alpha.shape)
-        np.add(alpha, beta, out=node)
-        node -= log_z[:, None, None]
-        np.exp(node, out=node)
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    node = arena.take("marg_node", alpha.shape)
+    np.add(alpha, beta, out=node)
+    node -= log_z[:, None, None]
+    np.exp(node, out=node)
     return [
         node[r, : batch.lengths[r]].copy() for r in range(batch.n_records)
     ]

@@ -56,31 +56,30 @@ class Sequence:
 class EncodedSequence:
     """A :class:`Sequence` with attributes resolved to integer ids.
 
-    Two interchangeable representations back the same contents:
-
-    - ``obs_ids`` / ``edge_ids`` -- per-token id lists, the form the
-      per-sequence objective iterates;
-    - a *packed* pair of flat numpy arrays (all observation ids
-      concatenated, plus per-token counts), the form
-      :class:`~repro.crf.batch.EncodedBatch` consumes so batch
-      construction is array concatenation instead of a per-token loop.
-
-    Whichever form a sequence is built from, the other materializes
-    lazily on first access and is cached; the bulk
-    :class:`~repro.parser.bulk.LineEncoder` builds packed directly and
-    most batches never materialize the lists at all.
+    Observation ids are stored *packed* -- all ids concatenated, plus
+    per-token counts -- the form :class:`~repro.crf.batch.EncodedBatch`
+    consumes, so batch construction is array concatenation instead of a
+    per-token loop; the bulk :class:`~repro.parser.bulk.LineEncoder`
+    builds this form directly.  ``obs_ids`` unpacks them into per-token
+    lists.  Edge ids stay per-token lists (``edge_ids``): they are
+    sparse, firing at block boundaries only.
     """
 
-    __slots__ = ("_obs_ids", "edge_ids", "_obs_flat", "_obs_counts")
+    __slots__ = ("edge_ids", "_obs_flat", "_obs_counts")
 
     def __init__(
         self, obs_ids: list[list[int]], edge_ids: list[list[int]]
     ) -> None:
-        """Wrap per-token id lists; the packed form is built lazily."""
-        self._obs_ids: list[list[int]] | None = obs_ids
+        """Pack per-token observation id lists."""
         self.edge_ids = edge_ids
-        self._obs_flat: np.ndarray | None = None
-        self._obs_counts: np.ndarray | None = None
+        self._obs_counts = np.fromiter(
+            (len(ids) for ids in obs_ids), dtype=np.intp, count=len(obs_ids)
+        )
+        self._obs_flat = np.fromiter(
+            chain.from_iterable(obs_ids),
+            dtype=np.intp,
+            count=int(self._obs_counts.sum()),
+        )
 
     @classmethod
     def from_packed(
@@ -91,7 +90,6 @@ class EncodedSequence:
     ) -> "EncodedSequence":
         """Build from the packed form (flat ids + per-token counts)."""
         seq = cls.__new__(cls)
-        seq._obs_ids = None
         seq.edge_ids = edge_ids
         seq._obs_flat = np.asarray(obs_flat, dtype=np.intp)
         seq._obs_counts = np.asarray(obs_counts, dtype=np.intp)
@@ -99,37 +97,21 @@ class EncodedSequence:
 
     @property
     def obs_ids(self) -> list[list[int]]:
-        """Per-token observation id lists (materialized lazily)."""
-        if self._obs_ids is None:
-            flat = self._obs_flat.tolist()
-            ids: list[list[int]] = []
-            position = 0
-            for count in self._obs_counts.tolist():
-                ids.append(flat[position:position + count])
-                position += count
-            self._obs_ids = ids
-        return self._obs_ids
+        """Per-token observation id lists."""
+        flat = self._obs_flat.tolist()
+        ids: list[list[int]] = []
+        position = 0
+        for count in self._obs_counts.tolist():
+            ids.append(flat[position:position + count])
+            position += count
+        return ids
 
     def packed_obs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(obs_flat, obs_counts)`` intp arrays, built once and cached."""
-        if self._obs_flat is None:
-            counts = np.fromiter(
-                (len(ids) for ids in self._obs_ids),
-                dtype=np.intp,
-                count=len(self._obs_ids),
-            )
-            self._obs_counts = counts
-            self._obs_flat = np.fromiter(
-                chain.from_iterable(self._obs_ids),
-                dtype=np.intp,
-                count=int(counts.sum()),
-            )
+        """``(obs_flat, obs_counts)`` intp arrays."""
         return self._obs_flat, self._obs_counts
 
     def __len__(self) -> int:
-        if self._obs_counts is not None:
-            return len(self._obs_counts)
-        return len(self._obs_ids)
+        return len(self._obs_counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EncodedSequence):

@@ -11,16 +11,10 @@ from typing import Iterable, Sequence as TypingSequence
 import numpy as np
 
 from repro.crf.arena import get_arena
-from repro.crf.batch import EncodedBatch
+from repro.crf.batch import EncodedBatch, batch_forward_backward
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
-from repro.crf.inference import (
-    log_partition,
-    node_marginals,
-    posterior_score,
-    viterbi,
-)
-from repro.crf.objective import ParamView, sequence_potentials
+from repro.crf.objective import ParamView
 from repro.crf.train import LBFGSTrainer, SGDTrainer, TrainLog, TrainerState
 
 
@@ -224,33 +218,16 @@ class ChainCRF:
             raise RuntimeError("model is not fitted")
         return self.index, ParamView.of(self.params, self.index)
 
-    def _potentials(self, seq: Sequence | list[list[str]]):
-        index, view = self._require_fitted()
-        encoded = index.encode(_as_sequence(seq))
-        return index, sequence_potentials(encoded, view, index.n_states)
-
-    def predict(self, seq: Sequence | list[list[str]]) -> list[str]:
-        """Most likely label sequence (Viterbi decoding, eq. (5))."""
-        if len(_as_sequence(seq)) == 0:
-            return []
-        index, (emit, trans) = self._potentials(seq)
-        return index.decode_labels(viterbi(emit, trans).tolist())
-
-    def predict_batch(
-        self, sequences: Iterable[Sequence | list[list[str]]]
-    ) -> list[list[str]]:
-        """Viterbi-decode each sequence (see :meth:`predict_many`)."""
-        return [self.predict(seq) for seq in sequences]
-
     def _decode_many(self, sequences, decode, empty, *, chunk_size: int):
-        """Shared batched-decoding driver for the ``*_many`` methods.
+        """The batched inference driver every prediction method runs on.
 
         Accepts raw or pre-encoded sequences.  Non-empty sequences are
         sorted by length and padded into per-chunk :class:`EncodedBatch`
         objects (bounding peak memory at roughly ``chunk_size * T_max *
-        S^2`` floats; length-sorting keeps each chunk's padding tight),
-        and per-record results are scattered back into input order; empty
-        sequences map to ``empty``.
+        S^2`` floats; length-sorting keeps each chunk's padding tight);
+        ``decode(chunk, emit, trans, arena)`` turns one chunk's
+        potentials into per-record results, which are scattered back
+        into input order.  Empty sequences map to ``empty(index)``.
         """
         index, view = self._require_fitted()
         encoded = [
@@ -272,7 +249,7 @@ class ChainCRF:
             batch = EncodedBatch.from_encoded(
                 [encoded[i] for i in rows], index
             )
-            emit, trans = batch.potentials(view, arena=arena)
+            emit, trans = batch.potentials(view, arena)
             for i, result in zip(rows, decode(batch, emit, trans, arena)):
                 out[i] = result
         return out
@@ -283,22 +260,21 @@ class ChainCRF:
         *,
         chunk_size: int = 256,
     ) -> list[list[str]]:
-        """Batched Viterbi decoding of many sequences at once.
+        """Batched Viterbi decoding (eq. (5)) of many sequences at once.
 
-        Produces exactly the same label sequences as calling
-        :meth:`predict` per sequence (empty sequences yield ``[]``), but
-        runs the recursions across all sequences of a chunk in dense numpy
-        ops -- the bulk path Section 6's survey-scale parse runs on.
-        Items may be pre-encoded (:class:`EncodedSequence`), in which case
-        the per-sequence attribute-to-id resolution is skipped too -- the
-        :class:`~repro.parser.bulk.BulkPipeline` cache feeds this form.
+        Empty sequences yield ``[]``.  The recursions run across all
+        sequences of a chunk in dense numpy ops -- the bulk path Section
+        6's survey-scale parse runs on.  Items may be pre-encoded
+        (:class:`EncodedSequence`), in which case the per-sequence
+        attribute-to-id resolution is skipped too -- the
+        :class:`~repro.parser.bulk.LineEncoder` cache feeds this form.
         """
         index = self.index
 
         def decode(chunk, emit, trans, arena):
             return [
                 index.decode_labels(row.tolist())
-                for row in batch_viterbi(chunk, emit, trans, arena=arena)
+                for row in batch_viterbi(chunk, emit, trans, arena)
             ]
 
         return self._decode_many(
@@ -314,39 +290,59 @@ class ChainCRF:
         """Batched per-token posteriors, one ``(T, n_states)`` array each."""
         return self._decode_many(
             sequences,
-            lambda chunk, emit, trans, arena: batch_marginals(
-                chunk, emit, trans, arena=arena
-            ),
+            batch_marginals,
             lambda index: np.zeros((0, index.n_states)),
             chunk_size=chunk_size,
         )
 
+    def predict_with_marginals_many(
+        self,
+        sequences: Iterable[Sequence | EncodedSequence | list[list[str]]],
+    ) -> list[tuple[list[str], np.ndarray]]:
+        """Viterbi labels and per-token posteriors for many sequences,
+        both from one potentials pass per chunk."""
+        index = self.index
+
+        def decode(chunk, emit, trans, arena):
+            paths = batch_viterbi(chunk, emit, trans, arena)
+            marginals = batch_marginals(chunk, emit, trans, arena)
+            return [
+                (index.decode_labels(path.tolist()), node)
+                for path, node in zip(paths, marginals)
+            ]
+
+        return self._decode_many(
+            sequences,
+            decode,
+            lambda index: ([], np.zeros((0, index.n_states))),
+            chunk_size=256,
+        )
+
+    def predict(self, seq: Sequence | list[list[str]]) -> list[str]:
+        """Most likely label sequence (Viterbi decoding, eq. (5))."""
+        return self.predict_many([seq])[0]
+
     def predict_marginals(self, seq: Sequence | list[list[str]]) -> np.ndarray:
         """Per-token posterior ``Pr(y_t | x)``, shape ``(T, n_states)``."""
-        index, (emit, trans) = self._potentials(seq)
-        return node_marginals(emit, trans)
+        return self.predict_marginals_many([seq])[0]
 
     def predict_with_marginals(
         self, seq: Sequence | list[list[str]]
     ) -> tuple[list[str], np.ndarray]:
-        """Viterbi labels and per-token posteriors from one set of
-        potentials (featurize/encode/potentials computed once, not twice)."""
-        index, _view = self._require_fitted()
-        if len(_as_sequence(seq)) == 0:
-            return [], np.zeros((0, index.n_states))
-        index, (emit, trans) = self._potentials(seq)
-        labels = index.decode_labels(viterbi(emit, trans).tolist())
-        return labels, node_marginals(emit, trans)
+        """Viterbi labels and per-token posteriors from one potentials pass."""
+        return self.predict_with_marginals_many([seq])[0]
 
     def log_likelihood(
         self, seq: Sequence | list[list[str]], labels: TypingSequence[str]
     ) -> float:
-        """``ln Pr(labels | seq)`` under the fitted model."""
-        index, (emit, trans) = self._potentials(seq)
-        encoded_labels = np.asarray(index.encode_labels(list(labels)), dtype=np.intp)
-        return posterior_score(emit, trans, encoded_labels) - log_partition(
-            emit, trans
-        )
+        """``ln Pr(labels | seq)`` under the fitted model (eq. (2))."""
+        index, view = self._require_fitted()
+        encoded = index.encode(_as_sequence(seq))
+        batch = EncodedBatch([(encoded, index.encode_labels(list(labels)))], index)
+        arena = get_arena()
+        emit, trans = batch.potentials(view, arena)
+        _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+        return batch.observed_score(emit, trans) - float(log_z[0])
 
     # ------------------------------------------------------------------
     # Introspection (Table 1 / Figure 1)

@@ -1,10 +1,8 @@
-"""The CRF training objective: regularized negative log-likelihood.
+"""The CRF's flat parameter vector and its structured view.
 
-The log-likelihood of eq. (11) is convex in the parameters; its gradient is
-the classic difference between *observed* and *expected* feature counts,
-where the expectations are marginals computed by forward-backward
-(eq. (12)).  We add an L2 penalty ``0.5 * l2 * ||theta||^2`` for numerical
-stability and to match standard CRF practice.
+The objective itself -- the convex log-likelihood of eq. (11) with its
+observed-minus-expected-counts gradient and an L2 penalty -- is computed
+batched, in :func:`repro.crf.batch.batch_nll_grad`.
 """
 
 from __future__ import annotations
@@ -13,15 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crf.features import EncodedSequence, FeatureIndex
-from repro.crf.inference import (
-    edge_marginals,
-    log_backward,
-    log_forward,
-    node_marginals,
-    posterior_score,
-)
-from scipy.special import logsumexp
+from repro.crf.features import FeatureIndex
 
 
 @dataclass
@@ -58,83 +48,3 @@ class ParamView:
         offset += n_states * n_states
         edge = params[offset:].reshape(n_edge, n_states, n_states)
         return cls(start=start, obs=obs, trans=trans, edge=edge)
-
-
-def sequence_potentials(
-    encoded: EncodedSequence, view: ParamView, n_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Emission and transition potentials for one encoded sequence."""
-    n_tokens = len(encoded)
-    emit = np.zeros((n_tokens, n_states))
-    emit[0] += view.start
-    for t, ids in enumerate(encoded.obs_ids):
-        if ids:
-            emit[t] += view.obs[ids].sum(axis=0)
-    trans = np.broadcast_to(view.trans, (max(n_tokens - 1, 0), n_states, n_states))
-    if any(encoded.edge_ids[t] for t in range(1, n_tokens)):
-        trans = trans.copy()
-        for t in range(1, n_tokens):
-            ids = encoded.edge_ids[t]
-            if ids:
-                trans[t - 1] += view.edge[ids].sum(axis=0)
-    return emit, trans
-
-
-def sequence_nll_grad(
-    encoded: EncodedSequence,
-    labels: list[int],
-    view: ParamView,
-    grad_view: ParamView,
-    n_states: int,
-) -> float:
-    """Accumulate one sequence's negative log-likelihood and gradient.
-
-    The gradient of the *negative* log-likelihood is
-    ``expected counts - observed counts``; we add it into ``grad_view``
-    in place and return the sequence's NLL contribution.
-    """
-    emit, trans = sequence_potentials(encoded, view, n_states)
-    alpha = log_forward(emit, trans)
-    beta = log_backward(emit, trans)
-    log_z = float(logsumexp(alpha[-1]))
-    label_arr = np.asarray(labels, dtype=np.intp)
-    nll = log_z - posterior_score(emit, trans, label_arr)
-
-    node = node_marginals(emit, trans, alpha=alpha, beta=beta)
-    # Observed counts are subtracted from the expectations token by token.
-    node_diff = node
-    node_diff[np.arange(len(encoded)), label_arr] -= 1.0
-
-    grad_view.start += node_diff[0]
-    for t, ids in enumerate(encoded.obs_ids):
-        if ids:
-            grad_view.obs[ids] += node_diff[t]
-
-    if len(encoded) > 1:
-        edges = edge_marginals(emit, trans, alpha=alpha, beta=beta)
-        edges[np.arange(len(encoded) - 1), label_arr[:-1], label_arr[1:]] -= 1.0
-        grad_view.trans += edges.sum(axis=0)
-        for t in range(1, len(encoded)):
-            ids = encoded.edge_ids[t]
-            if ids:
-                grad_view.edge[ids] += edges[t - 1]
-    return nll
-
-
-def dataset_nll_grad(
-    params: np.ndarray,
-    dataset: list[tuple[EncodedSequence, list[int]]],
-    index: FeatureIndex,
-    l2: float,
-) -> tuple[float, np.ndarray]:
-    """Full-dataset regularized NLL and gradient (for batch optimizers)."""
-    view = ParamView.of(params, index)
-    grad = np.zeros_like(params)
-    grad_view = ParamView.of(grad, index)
-    nll = 0.0
-    for encoded, labels in dataset:
-        nll += sequence_nll_grad(encoded, labels, view, grad_view, index.n_states)
-    if l2 > 0.0:
-        nll += 0.5 * l2 * float(params @ params)
-        grad += l2 * params
-    return nll, grad

@@ -36,7 +36,6 @@ from scipy.optimize import minimize
 from repro import obs
 from repro.crf.batch import EncodedBatch, batch_nll_grad
 from repro.crf.features import EncodedSequence, FeatureIndex
-from repro.crf.objective import ParamView, sequence_nll_grad
 
 
 @dataclass
@@ -271,23 +270,20 @@ class SGDTrainer:
             accumulated_sq = np.full(index.n_features, 1e-8)
         log = TrainLog()
         n = len(dataset)
+        batch = EncodedBatch(dataset, index)
         for epoch in range(epochs_done, self.epochs):
             epoch_started = perf_counter()
             rng.shuffle(order)
             epoch_nll = 0.0
             for batch_start in range(0, n, self.batch_size):
-                batch = order[batch_start : batch_start + self.batch_size]
-                grad = np.zeros_like(params)
-                view = ParamView.of(params, index)
-                grad_view = ParamView.of(grad, index)
-                for i in batch:
-                    encoded, labels = dataset[i]
-                    epoch_nll += sequence_nll_grad(
-                        encoded, labels, view, grad_view, index.n_states
-                    )
+                rows = order[batch_start : batch_start + self.batch_size]
+                nll, grad = batch_nll_grad(
+                    params, batch.subset(rows), index, 0.0
+                )
+                epoch_nll += nll
                 # Scale the L2 term so a full epoch applies it exactly once.
                 if self.l2 > 0.0:
-                    grad += (self.l2 * len(batch) / n) * params
+                    grad += (self.l2 * len(rows) / n) * params
                 accumulated_sq += grad * grad
                 params -= self.learning_rate * grad / np.sqrt(accumulated_sq)
             if self.l2 > 0.0:

@@ -505,36 +505,28 @@ class WhoisCrawler:
         ``stats``, when given, re-accounts those domains from ``ok`` to
         ``quarantined``.
         """
-        from repro.resilience.quarantine import Quarantine
+        from repro.resilience.quarantine import Quarantine, screen_and_parse
 
         thick = [result for result in results if result.has_thick]
-        quarantined: list[QuarantinedRecord] = []
-        if gate is not None:
-            if quarantine is None:
-                quarantine = Quarantine()
-            admitted = []
-            for result in thick:
-                error = gate.inspect_text(result.domain, result.thick_text)
-                if error is None:
-                    error = gate.inspect_confidence(
-                        result.domain, result.thick_text, parser
-                    )
-                if error is None:
-                    admitted.append(result)
-                    continue
-                quarantined.append(
-                    quarantine.add(result.domain, result.thick_text, error)
-                )
-                if stats is not None:
-                    stats.record_quarantine(result.domain, error)
-            thick = admitted
         with obs.trace("crawler.parse_results_seconds"):
-            parsed = parser.parse_many(
-                [result.thick_text for result in thick], jobs=jobs
+            admitted, rejected = screen_and_parse(
+                gate, parser,
+                [(result.domain, result.thick_text) for result in thick],
+                jobs=jobs,
             )
+        if rejected and quarantine is None:
+            quarantine = Quarantine()
+        quarantined: list[QuarantinedRecord] = []
+        for i, error in rejected:
+            result = thick[i]
+            quarantined.append(
+                quarantine.add(result.domain, result.thick_text, error)
+            )
+            if stats is not None:
+                stats.record_quarantine(result.domain, error)
         return ParsedCrawl(
-            results=tuple(thick),
-            parsed=tuple(parsed),
+            results=tuple(thick[i] for i, _ in admitted),
+            parsed=tuple(parsed for _, parsed in admitted),
             quarantined=tuple(quarantined),
         )
 

@@ -35,13 +35,11 @@ def rank_by_uncertainty(
     parser: WhoisParser,
     records: Sequence[WhoisRecord | LabeledRecord | str],
 ) -> list[UncertainRecord]:
-    """All records ranked most-uncertain first."""
+    """All records ranked most-uncertain first (the pool is scored in one
+    batched pass)."""
     scored: list[UncertainRecord] = []
-    for index, record in enumerate(records):
-        confidences = [
-            probability
-            for _line, _block, probability in parser.line_confidences(record)
-        ]
+    for index, lines in enumerate(parser.line_confidences_many(records)):
+        confidences = [probability for _line, _block, probability in lines]
         if not confidences:
             continue
         scored.append(

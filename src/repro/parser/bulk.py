@@ -150,15 +150,6 @@ class LineEncoder:
             self.hits += 1
         return profile
 
-    def _is_labelable(self, line: str) -> bool:
-        """Memoized :func:`repro.whois.records.is_labelable`."""
-        labelable = self._labelable.get(line)
-        if labelable is None:
-            labelable = is_labelable(line)
-            if len(self._labelable) < self.cache_size:
-                self._labelable[line] = labelable
-        return labelable
-
     @property
     def hit_rate(self) -> float:
         """Cumulative cache hit rate over every line encoded so far."""
@@ -258,6 +249,8 @@ class LineEncoder:
     ) -> EncodedSequence:
         """Encode one record's labelable lines, mirroring
         :meth:`WhoisFeaturizer.featurize_lines` attribute for attribute.
+        Second-level segments (runs of labelable lines) encode the same
+        way, as :meth:`WhoisFeaturizer.featurize_registrant_lines` does.
 
         Intrinsic ids come from the cache; the context-dependent layout
         and header attributes -- disjoint from every intrinsic attribute
@@ -336,57 +329,6 @@ class LineEncoder:
                 if headword is not None:
                     header = (headword, indent)
             blank_run = 0
-            obs_counts.append(len(obs_flat) - start)
-            edge_seq.append(edge)
-        return EncodedSequence.from_packed(obs_flat, obs_counts, edge_seq)
-
-    def encode_lines(self, lines: list[str]) -> EncodedSequence:
-        """Encode an already-filtered run of labelable lines.
-
-        This is :meth:`encode_record` for the second-level segments: they
-        are contiguous runs of labelable lines by construction, so the
-        labelability checks and blank-run (``NL``) handling drop out;
-        indentation shifts and header context within the run remain.
-        """
-        if self._char:
-            return self._encode_chars(lines)
-        cfg = self.featurizer.config
-        obs_flat: list[int] = []
-        obs_counts: list[int] = []
-        edge_seq: list[list[int]] = []
-        prev_indent: int | None = None
-        header: tuple[str, int] | None = None
-        lines_get = self._lines.get
-        for line in lines:
-            profile = lines_get(line)
-            if profile is None:
-                profile = self._line_profile(line)
-            else:
-                self.hits += 1
-            intrinsic_obs, intrinsic_edge, indent, headword = profile
-            start = len(obs_flat)
-            obs_flat.extend(intrinsic_obs)
-            edge = list(intrinsic_edge)
-            if cfg.markers:
-                if prev_indent is not None:
-                    shift = (
-                        self._shl if indent < prev_indent
-                        else self._shr if indent > prev_indent
-                        else None
-                    )
-                    if shift is not None:
-                        if shift[0] is not None:
-                            obs_flat.append(shift[0])
-                        if cfg.edge_markers and shift[1] is not None:
-                            edge.append(shift[1])
-                prev_indent = indent
-            if cfg.header_context:
-                if header is not None and indent > header[1]:
-                    obs_flat.extend(self._ctx_ids(header[0]))
-                else:
-                    header = None
-                if headword is not None:
-                    header = (headword, indent)
             obs_counts.append(len(obs_flat) - start)
             edge_seq.append(edge)
         return EncodedSequence.from_packed(obs_flat, obs_counts, edge_seq)

@@ -29,7 +29,7 @@ from repro.domain import DomainSpec, get_domain, sub_segments
 from repro.parser.api import ParserBase
 from repro.parser.fields import ParsedRecord
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
-from repro.whois.records import LabeledRecord, WhoisRecord, is_labelable
+from repro.whois.records import LabeledRecord, WhoisRecord
 
 
 def _block_runs(blocks: list[str], label: str) -> list[tuple[int, int]]:
@@ -270,28 +270,37 @@ class WhoisParser(ParserBase):
             return segment_chars(text)
         return text.splitlines()
 
-    def _labelable(self, raw: list[str]) -> list[str]:
-        """The units of ``raw`` that carry labels (all of them for char
-        granularity -- delimiters are labeled so field values reassemble
-        exactly)."""
-        if self.featurizer.config.granularity == "char":
-            return list(raw)
-        return [ln for ln in raw if is_labelable(ln)]
+    def _encode_blocks(self, records: list) -> tuple[list[list[str]], list]:
+        """Each record's labelable units and their first-level encodings,
+        through the memoizing block :class:`~repro.parser.bulk.LineEncoder`."""
+        block_encoder, _registrant_encoder = self._encoders()
+        lines_per: list[list[str]] = []
+        encoded = []
+        for record in records:
+            lines: list[str] = []
+            encoded.append(
+                block_encoder.encode_record(
+                    self._raw_lines(record), collect=lines
+                )
+            )
+            lines_per.append(lines)
+        return lines_per, encoded
 
     def predict_blocks(
         self, record: WhoisRecord | LabeledRecord | str
     ) -> list[str]:
         """First-level labels for each labelable line of the record."""
-        raw = self._raw_lines(record)
-        seq = self.featurizer.featurize_lines(raw)
-        return self.block_crf.predict(seq)
+        _lines, encoded = self._encode_blocks([record])
+        return self.block_crf.predict_many(encoded)[0]
 
     def predict_registrant_fields(self, lines: list[str]) -> list[str]:
         """Second-level labels for a contiguous registrant block."""
-        if self.registrant_crf is None or not self.registrant_crf.is_fitted:
+        if not self._has_second_level:
             raise RuntimeError("second-level CRF is not available")
-        seq = self.featurizer.featurize_registrant_lines(lines)
-        return self.registrant_crf.predict(seq)
+        _block_encoder, registrant_encoder = self._encoders()
+        return self.registrant_crf.predict_many(
+            [registrant_encoder.encode_record(lines)]
+        )[0]
 
     @property
     def _has_second_level(self) -> bool:
@@ -301,19 +310,7 @@ class WhoisParser(ParserBase):
         self, record: WhoisRecord | LabeledRecord | str
     ) -> list[tuple[str, str, str | None]]:
         """(line, block, sub) for each labelable line; sub only on registrant."""
-        raw = self._raw_lines(record)
-        lines = self._labelable(raw)
-        # Featurize once; predict_blocks() would featurize a second time.
-        blocks = self.block_crf.predict(self.featurizer.featurize_lines(raw))
-        subs: list[str | None] = [None] * len(lines)
-        if self._has_second_level:
-            for start, end in _block_runs(blocks, self.spec.sub_block):
-                segment = lines[start:end]
-                for j, sub in enumerate(
-                    self.predict_registrant_fields(segment)
-                ):
-                    subs[start + j] = sub
-        return list(zip(lines, blocks, subs))
+        return self.label_lines_many([record])[0]
 
     def line_confidences(
         self, record: WhoisRecord | LabeledRecord | str
@@ -324,18 +321,30 @@ class WhoisParser(ParserBase):
         the Viterbi label -- useful for routing low-confidence records to a
         human labeler, the workflow Section 5.3 implies.
         """
-        raw = self._raw_lines(record)
-        lines = self._labelable(raw)
-        if not lines:
-            return []
-        seq = self.featurizer.featurize_lines(raw)
-        # One featurize/encode/potentials pass serves both Viterbi and
-        # forward-backward (they used to run from scratch separately).
-        blocks, marginals = self.block_crf.predict_with_marginals(seq)
+        return self.line_confidences_many([record])[0]
+
+    def line_confidences_many(
+        self, records: TypingSequence[WhoisRecord | LabeledRecord | str]
+    ) -> list[list[tuple[str, str, float]]]:
+        """Bulk :meth:`line_confidences`: the Viterbi labels and the
+        marginals come from one potentials pass per chunk.
+
+        Encoding goes through the same line cache :meth:`parse_many`
+        uses, so parsing the same records afterwards (the gate-then-parse
+        flow of :func:`repro.resilience.screen_and_parse`) hits on every
+        first-level line.  It reports no ``parse.*`` timings: those time
+        parsing, and scoring is not parsing.
+        """
+        lines_per, encoded = self._encode_blocks(list(records))
         label_ids = self.block_crf.index.label_ids
         return [
-            (line, block, float(marginals[t, label_ids[block]]))
-            for t, (line, block) in enumerate(zip(lines, blocks))
+            [
+                (line, block, float(marginals[t, label_ids[block]]))
+                for t, (line, block) in enumerate(zip(lines, blocks))
+            ]
+            for lines, (blocks, marginals) in zip(
+                lines_per, self.block_crf.predict_with_marginals_many(encoded)
+            )
         ]
 
     def _assemble(self, labeled: list[tuple[str, str, str | None]]) -> ParsedRecord:
@@ -366,6 +375,9 @@ class WhoisParser(ParserBase):
         """
         if self._bulk_encoders is None:
             from repro.parser.bulk import LineEncoder
+
+            if not self.block_crf.is_fitted:
+                raise RuntimeError("parser is not fitted")
 
             profiles: dict = {}  # raw line analyses, shared across levels
             self._bulk_encoders = (
@@ -432,14 +444,14 @@ class WhoisParser(ParserBase):
     ) -> list[list[tuple[str, str, str | None]]]:
         """Bulk :meth:`label_lines` over many records.
 
-        Produces exactly the per-record results, but runs each stage
-        corpus-wide: every record's lines are featurized *and encoded*
-        through the memoizing per-line cache, the first level decodes in
-        one batched Viterbi pass, then *all* registrant segments are
-        gathered into a single second-level batch.  With ``jobs > 1``
-        the whole pipeline shards across processes (``start_method``
-        optionally pins the multiprocessing start method; see
-        :meth:`_map_sharded`).
+        The one labeling path (:meth:`label_lines` is a batch of one).
+        Each stage runs corpus-wide: every record's lines are featurized
+        *and encoded* through the memoizing per-line cache, the first
+        level decodes in one batched Viterbi pass, then *all* registrant
+        segments are gathered into a single second-level batch.  With
+        ``jobs > 1`` the whole pipeline shards across processes
+        (``start_method`` optionally pins the multiprocessing start
+        method; see :meth:`_map_sharded`).
         """
         records = list(records)
         if jobs > 1 and len(records) >= 2 * jobs:
@@ -447,18 +459,9 @@ class WhoisParser(ParserBase):
                 return self._map_sharded(
                     _label_shard, records, jobs, chunk_size, start_method
                 )
-        block_encoder, registrant_encoder = self._encoders()
-        lines_per: list[list[str]] = []
-        encoded = []
+        _block_encoder, registrant_encoder = self._encoders()
         with obs.trace("parse.encode_seconds", level="block"):
-            for record in records:
-                lines: list[str] = []
-                encoded.append(
-                    block_encoder.encode_record(
-                        self._raw_lines(record), collect=lines
-                    )
-                )
-                lines_per.append(lines)
+            lines_per, encoded = self._encode_blocks(records)
         with obs.trace("parse.decode_seconds", level="block"):
             blocks_per = self.block_crf.predict_many(
                 encoded, chunk_size=chunk_size
@@ -475,7 +478,7 @@ class WhoisParser(ParserBase):
                     for start, end in _block_runs(blocks, self.spec.sub_block):
                         spans.append((r, start))
                         segments.append(
-                            registrant_encoder.encode_lines(
+                            registrant_encoder.encode_record(
                                 lines_per[r][start:end]
                             )
                         )

@@ -18,6 +18,7 @@ from repro.resilience.quarantine import (
     Quarantine,
     QuarantinedRecord,
     RecordGate,
+    screen_and_parse,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "QuarantinedRecord",
     "RecordGate",
     "RetryPolicy",
+    "screen_and_parse",
 ]

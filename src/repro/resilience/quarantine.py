@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro import obs
 from repro.errors import CrawlError, GarbledRecord, Truncated
@@ -68,6 +68,14 @@ class Quarantine:
         return tally
 
 
+#: A thick record more than this share of whose characters read as
+#: binary damage is garbled.
+MAX_SUSPICIOUS_FRACTION = 0.005
+#: Truncation bites hardest at the end of a record: the lowest marginal
+#: over its last ``TAIL_LINES`` lines must clear the confidence floor too.
+TAIL_LINES = 2
+
+
 def _suspicious_fraction(text: str) -> float:
     """Fraction of characters that read as binary damage: NULs, other
     control characters (beyond whitespace), and U+FFFD replacements."""
@@ -87,22 +95,20 @@ class RecordGate:
     """The admission test a fetched thick record must pass.
 
     Structural checks are parser-free: empty bodies and binary/mojibake
-    damage are :class:`GarbledRecord`.  With ``min_mean_confidence`` set
-    and a parser exposing ``line_confidences`` (the statistical parser's
-    posterior marginals), records whose mean Viterbi-label marginal
-    falls below the threshold are :class:`Truncated` -- damaged input
-    makes the CRF hedge, which is exactly the low-confidence routing
-    Section 5.3 implies.
+    damage are :class:`GarbledRecord`, records with fewer than
+    ``min_lines`` non-blank lines :class:`Truncated` (char-grained
+    domains, whose records are one logical line, use ``min_lines=1``).
+    With ``min_mean_confidence`` set and a parser exposing
+    ``line_confidences`` (the statistical parser's posterior
+    marginals), records whose mean Viterbi-label marginal -- or whose
+    lowest marginal over the last :data:`TAIL_LINES` lines -- falls
+    below the floor are :class:`Truncated`: damaged input makes the CRF
+    hedge, which is exactly the low-confidence routing Section 5.3
+    implies.
     """
 
-    max_suspicious_fraction: float = 0.005
     min_lines: int = 3
     min_mean_confidence: float | None = None
-    #: truncation bites hardest at the end of the record: the minimum
-    #: marginal over the last ``tail_lines`` lines must clear this
-    #: (defaults to min_mean_confidence when unset)
-    min_tail_confidence: float | None = None
-    tail_lines: int = 2
 
     def inspect_text(self, domain: str, text: str | None) -> CrawlError | None:
         """Parser-free structural check; None means admissible."""
@@ -110,7 +116,7 @@ class RecordGate:
             return GarbledRecord(
                 f"empty thick record for {domain}", domain=domain
             )
-        if _suspicious_fraction(text) > self.max_suspicious_fraction:
+        if _suspicious_fraction(text) > MAX_SUSPICIOUS_FRACTION:
             return GarbledRecord(
                 f"binary/mojibake damage in thick record for {domain}",
                 domain=domain,
@@ -126,36 +132,29 @@ class RecordGate:
         self, domain: str, text: str, parser
     ) -> CrawlError | None:
         """Marginal-confidence check, for parsers that expose it."""
-        if self.min_mean_confidence is None and self.min_tail_confidence is None:
-            return None
+        floor = self.min_mean_confidence
         line_confidences = getattr(parser, "line_confidences", None)
-        if line_confidences is None:
+        if floor is None or line_confidences is None:
             return None
-        scored = line_confidences(text)
+        scored = [c for _, _, c in line_confidences(text)]
         if not scored:
             return GarbledRecord(
                 f"no labelable lines in thick record for {domain}",
                 domain=domain,
             )
-        mean = sum(c for _, _, c in scored) / len(scored)
+        mean = sum(scored) / len(scored)
         obs.observe("resilience.gate.mean_confidence", mean)
-        if self.min_mean_confidence is not None and mean < self.min_mean_confidence:
+        if mean < floor:
             return Truncated(
-                f"parser confidence {mean:.3f} below "
-                f"{self.min_mean_confidence:.3f} for {domain} "
-                "(truncated or damaged record)",
+                f"parser confidence {mean:.3f} below {floor:.3f} for "
+                f"{domain} (truncated or damaged record)",
                 domain=domain,
             )
-        tail_floor = (
-            self.min_tail_confidence
-            if self.min_tail_confidence is not None
-            else self.min_mean_confidence
-        )
-        tail = min(c for _, _, c in scored[-self.tail_lines:])
-        if tail_floor is not None and tail < tail_floor:
+        tail = min(scored[-TAIL_LINES:])
+        if tail < floor:
             return Truncated(
                 f"parser confidence {tail:.3f} on the record tail below "
-                f"{tail_floor:.3f} for {domain} (record cut mid-stream)",
+                f"{floor:.3f} for {domain} (record cut mid-stream)",
                 domain=domain,
             )
         return None
@@ -166,3 +165,62 @@ class RecordGate:
         if error is None and parser is not None and text is not None:
             error = self.inspect_confidence(domain, text, parser)
         return error
+
+
+class _BatchScores:
+    """What :func:`screen_and_parse` hands :meth:`RecordGate.inspect` as
+    the parser: the first ``line_confidences`` call scores the whole
+    batch with one ``line_confidences_many`` pass, later calls read the
+    stored scores.  A gate without a confidence floor never asks, so it
+    triggers no scoring at all."""
+
+    def __init__(self, score_many, texts: list[str]) -> None:
+        self._score_many = score_many
+        self._texts = texts
+        self._scores: dict[str, list] | None = None
+
+    def line_confidences(self, text: str) -> list:
+        """The batch's stored scores for ``text``."""
+        if self._scores is None:
+            unique = list(dict.fromkeys(self._texts))
+            self._scores = dict(zip(unique, self._score_many(unique)))
+        return self._scores[text]
+
+
+def screen_and_parse(
+    gate: "RecordGate | None",
+    parser,
+    records: Sequence[tuple[str, str]],
+    *,
+    jobs: int = 1,
+) -> tuple[list[tuple[int, object]], list[tuple[int, CrawlError]]]:
+    """Gate a batch of ``(domain, text)`` records, then parse the admitted.
+
+    Returns ``(admitted, rejected)``: ``(index, parsed record)`` for every
+    record the gate admits and ``(index, error)`` for every one it
+    rejects, each in input order.  The gate sees only ``inspect``; when
+    the parser has ``line_confidences_many`` the whole batch is scored
+    in one pass on the first confidence check, and ``parse_many`` over
+    the admitted records (``jobs`` forwards to it) then finds their
+    lines in the line cache that scoring filled.  Parsers with only a
+    per-record ``line_confidences`` are asked per record, and parsers
+    with neither pass the confidence check.
+    """
+    records = list(records)
+    rejected: list[tuple[int, CrawlError]] = []
+    keep = list(range(len(records)))
+    if gate is not None:
+        score_many = getattr(parser, "line_confidences_many", None)
+        scorer = (
+            parser if score_many is None
+            else _BatchScores(score_many, [text for _, text in records])
+        )
+        keep = []
+        for i, (domain, text) in enumerate(records):
+            error = gate.inspect(domain, text, scorer)
+            if error is None:
+                keep.append(i)
+            else:
+                rejected.append((i, error))
+    parsed = parser.parse_many([records[i][1] for i in keep], jobs=jobs)
+    return list(zip(keep, parsed)), rejected

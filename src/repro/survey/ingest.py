@@ -12,8 +12,10 @@ shard:
    chunks (a static work queue: chunk boundaries are deterministic, so
    sharded output is row-identical to single-process output);
 2. each worker process (reusing the fork/mmap-friendly pool-initializer
-   pattern of :meth:`WhoisParser.parse_many`) gates, parses, and
-   normalizes its chunk and writes a private per-shard replica --
+   pattern of :meth:`WhoisParser.parse_many`) gates and parses its chunk
+   (:func:`~repro.resilience.screen_and_parse`: one scoring pass over
+   the chunk, then one parse of the admitted records), normalizes it,
+   and writes a private per-shard replica --
    sqlite file or in-memory rows, matching the destination backend;
 3. the coordinator merges shard replicas into the destination store in
    shard order (``ATTACH`` + ``INSERT .. SELECT`` for sqlite) and
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.errors import error_from_payload
-from repro.resilience.quarantine import QuarantinedRecord
+from repro.resilience.quarantine import QuarantinedRecord, screen_and_parse
 from repro.survey.database import SurveyDatabase, entry_from_parsed
 from repro.survey.store import MemoryStore, SqliteStore, SurveyStore
 
@@ -106,30 +108,24 @@ def _ingest_shard(payload):
     in-memory backend.
     """
     jobs, shard_path, batch_size, gate = payload
-    parser = _INGEST_PARSER
-    quarantined: list[tuple[str, str, dict]] = []
-    admitted: list[IngestJob] = []
-    if gate is not None:
-        for job in jobs:
-            error = gate.inspect(job.domain, job.text, parser)
-            if error is None:
-                admitted.append(job)
-            else:
-                quarantined.append((job.domain, job.text, error.to_payload()))
-    else:
-        admitted = list(jobs)
-    parsed_records = parser.parse_many([job.text for job in admitted], jobs=1)
+    admitted, rejected = screen_and_parse(
+        gate, _INGEST_PARSER, [(job.domain, job.text) for job in jobs]
+    )
+    quarantined = [
+        (jobs[i].domain, jobs[i].text, error.to_payload())
+        for i, error in rejected
+    ]
     rows = [
         (
             entry_from_parsed(
-                job.domain, parsed,
-                registrar_hint=job.registrar_hint,
-                blacklisted=job.blacklisted,
+                jobs[i].domain, parsed,
+                registrar_hint=jobs[i].registrar_hint,
+                blacklisted=jobs[i].blacklisted,
             ),
             parsed,
-            _audit_for(job, parsed),
+            _audit_for(jobs[i], parsed),
         )
-        for job, parsed in zip(admitted, parsed_records)
+        for i, parsed in admitted
     ]
     if shard_path is None:
         return (
@@ -250,17 +246,15 @@ def _ingest_inline(
     stats: "CrawlStats | None",
 ) -> SurveyDatabase:
     """The shards=1 path: same pipeline, no worker processes."""
-    admitted = []
-    for job in jobs:
-        error = gate.inspect(job.domain, job.text, parser) if gate else None
-        if error is None:
-            admitted.append(job)
-            continue
-        db.add_quarantined(job.domain, job.text, error)
+    admitted, rejected = screen_and_parse(
+        gate, parser, [(job.domain, job.text) for job in jobs]
+    )
+    for i, error in rejected:
+        db.add_quarantined(jobs[i].domain, jobs[i].text, error)
         if stats is not None:
-            stats.record_quarantine(job.domain, error)
-    parsed_records = parser.parse_many([job.text for job in admitted])
-    for job, parsed in zip(admitted, parsed_records):
+            stats.record_quarantine(jobs[i].domain, error)
+    for i, parsed in admitted:
+        job = jobs[i]
         db.add_parsed(
             job.domain, parsed,
             registrar_hint=job.registrar_hint,

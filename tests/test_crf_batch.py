@@ -1,14 +1,19 @@
-"""Property tests: the batched objective equals the per-sequence one."""
+"""Property tests: a batch's objective equals the sum over its rows.
+
+Each row scored alone -- a batch of one, no padding -- is the
+per-sequence reference: padding, masking and chunking must not change
+what the whole batch computes.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.features import FeatureIndex, Sequence
-from repro.crf.objective import ParamView, dataset_nll_grad, sequence_potentials
-from repro.crf.inference import log_partition
+from repro.crf.objective import ParamView
 
 
 def random_dataset(rng, n_seqs, n_labels=3, vocab=8, max_len=6):
@@ -37,6 +42,18 @@ def random_dataset(rng, n_seqs, n_labels=3, vocab=8, max_len=6):
     return dataset, index
 
 
+def per_sequence_nll_grad(params, dataset, index, l2):
+    """The objective summed over batches of one row each."""
+    nll, grad = 0.0, np.zeros_like(params)
+    for row in dataset:
+        row_nll, row_grad = batch_nll_grad(
+            params, EncodedBatch([row], index), index, 0.0
+        )
+        nll += row_nll
+        grad += row_grad
+    return nll + 0.5 * l2 * float(params @ params), grad + l2 * params
+
+
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=10_000),
@@ -46,7 +63,7 @@ def test_batched_objective_matches_sequential(n_seqs, seed):
     rng = np.random.default_rng(seed)
     dataset, index = random_dataset(rng, n_seqs)
     params = rng.normal(scale=0.7, size=index.n_features)
-    nll_seq, grad_seq = dataset_nll_grad(params, dataset, index, l2=0.4)
+    nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.4)
     batch = EncodedBatch(dataset, index)
     nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.4)
     assert nll_batch == pytest.approx(nll_seq, rel=1e-9, abs=1e-9)
@@ -77,12 +94,15 @@ def test_batched_log_partition_matches_per_sequence(seed):
     dataset, index = random_dataset(rng, 5)
     params = rng.normal(size=index.n_features)
     view = ParamView.of(params, index)
+    arena = TensorArena()
     batch = EncodedBatch(dataset, index)
-    emit, trans = batch.potentials(view)
-    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
-    for r, (encoded, _labels) in enumerate(dataset):
-        e, t = sequence_potentials(encoded, view, index.n_states)
-        assert log_z[r] == pytest.approx(log_partition(e, t), rel=1e-9)
+    emit, trans = batch.potentials(view, arena)
+    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    for r, row in enumerate(dataset):
+        single = EncodedBatch([row], index)
+        e, t = single.potentials(view, arena)
+        _a, _b, row_log_z = batch_forward_backward(single, e, t, arena)
+        assert log_z[r] == pytest.approx(row_log_z[0], rel=1e-9)
 
 
 def test_empty_batch_rejected():
@@ -101,7 +121,7 @@ def test_batch_of_single_token_sequences():
     ]
     rng = np.random.default_rng(0)
     params = rng.normal(size=index.n_features)
-    nll_seq, grad_seq = dataset_nll_grad(params, dataset, index, l2=0.0)
+    nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.0)
     batch = EncodedBatch(dataset, index)
     nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.0)
     assert nll_batch == pytest.approx(nll_seq)
@@ -122,7 +142,7 @@ def test_ragged_lengths_mask_padding_correctly():
     ]
     rng = np.random.default_rng(4)
     params = rng.normal(size=index.n_features)
-    nll_seq, grad_seq = dataset_nll_grad(params, dataset, index, l2=0.0)
+    nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.0)
     batch = EncodedBatch(dataset, index)
     nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.0)
     assert nll_batch == pytest.approx(nll_seq, rel=1e-10)

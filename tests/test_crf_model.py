@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crf.batch import EncodedBatch, batch_nll_grad
 from repro.crf.features import FeatureIndex, Sequence
 from repro.crf.model import ChainCRF
-from repro.crf.objective import ParamView, dataset_nll_grad
+from repro.crf.objective import ParamView
 from repro.crf.train import LBFGSTrainer, SGDTrainer
+
+
+def nll_grad(params, dataset, index, l2):
+    """The regularized objective over ``dataset`` as one batch."""
+    return batch_nll_grad(params, EncodedBatch(dataset, index), index, l2)
 
 
 # ----------------------------------------------------------------------
@@ -106,14 +112,14 @@ def test_gradient_matches_finite_differences():
     dataset, _, _ = _toy_dataset(index)
     rng = np.random.default_rng(0)
     params = rng.normal(scale=0.5, size=index.n_features)
-    _, grad = dataset_nll_grad(params, dataset, index, l2=0.3)
+    _, grad = nll_grad(params, dataset, index, l2=0.3)
     eps = 1e-6
     for k in range(index.n_features):
         bumped = params.copy()
         bumped[k] += eps
-        up, _ = dataset_nll_grad(bumped, dataset, index, l2=0.3)
+        up, _ = nll_grad(bumped, dataset, index, l2=0.3)
         bumped[k] -= 2 * eps
-        down, _ = dataset_nll_grad(bumped, dataset, index, l2=0.3)
+        down, _ = nll_grad(bumped, dataset, index, l2=0.3)
         numeric = (up - down) / (2 * eps)
         assert grad[k] == pytest.approx(numeric, abs=1e-4)
 
@@ -126,9 +132,9 @@ def test_objective_convexity_along_random_line():
     rng = np.random.default_rng(3)
     p0 = rng.normal(size=index.n_features)
     p1 = rng.normal(size=index.n_features)
-    f0, _ = dataset_nll_grad(p0, dataset, index, l2=0.0)
-    f1, _ = dataset_nll_grad(p1, dataset, index, l2=0.0)
-    fmid, _ = dataset_nll_grad(0.5 * (p0 + p1), dataset, index, l2=0.0)
+    f0, _ = nll_grad(p0, dataset, index, l2=0.0)
+    f1, _ = nll_grad(p1, dataset, index, l2=0.0)
+    fmid, _ = nll_grad(0.5 * (p0 + p1), dataset, index, l2=0.0)
     assert fmid <= 0.5 * (f0 + f1) + 1e-9
 
 
@@ -207,8 +213,8 @@ def test_trainers_agree_on_small_problem():
     ]
     p_lbfgs, _ = LBFGSTrainer(l2=1.0).fit(dataset, index)
     p_sgd, _ = SGDTrainer(l2=1.0, epochs=200, seed=0).fit(dataset, index)
-    nll_lbfgs, _ = dataset_nll_grad(p_lbfgs, dataset, index, l2=1.0)
-    nll_sgd, _ = dataset_nll_grad(p_sgd, dataset, index, l2=1.0)
+    nll_lbfgs, _ = nll_grad(p_lbfgs, dataset, index, l2=1.0)
+    nll_sgd, _ = nll_grad(p_sgd, dataset, index, l2=1.0)
     assert nll_sgd == pytest.approx(nll_lbfgs, rel=0.05)
 
 
