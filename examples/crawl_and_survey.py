@@ -17,7 +17,7 @@ from repro.survey.analysis import (
     top_registrant_countries,
     top_registrars,
 )
-from repro.survey.database import SurveyDatabase
+from repro.survey.ingest import jobs_from_results, sharded_ingest
 from repro.survey.report import format_histogram, format_table
 
 
@@ -44,7 +44,7 @@ def main(n_domains: int = 2500) -> None:
           f"{stats.rate_limit_events} rate-limit events)")
 
     print("== parsing every thick record into the survey database")
-    db = SurveyDatabase.from_crawl(results, parser.parse)
+    db = sharded_ingest(jobs_from_results(results), parser, shards=1)
     print(f"   {len(db)} parsed registrations; "
           f"privacy-protected: {privacy_rate(db):.1%}\n")
 

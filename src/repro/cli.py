@@ -48,7 +48,7 @@ from repro import obs
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.domain import DEFAULT_DOMAIN, available_domains, get_domain
 from repro.eval.metrics import evaluate_parser
-from repro.netsim.crawler import WhoisCrawler
+from repro.netsim.crawler import CrawlResult, WhoisCrawler
 from repro.netsim.internet import build_com_internet
 from repro.parser import WhoisParser
 from repro.survey.analysis import (
@@ -154,6 +154,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 "domain": result.domain,
                 "status": result.status,
                 "registrar_server": result.registrar_server,
+                "thin_text": result.thin_text,
                 "thick_text": result.thick_text,
             }
             if result.error is not None:
@@ -177,7 +178,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     """Build the Section 6 survey tables from a crawl JSONL."""
-    from repro.survey.ingest import IngestJob, sharded_ingest
+    from repro.survey.ingest import jobs_from_results, sharded_ingest
     from repro.survey.store import open_store
 
     if args.store == "sqlite" and not args.db:
@@ -188,11 +189,16 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         parser.load_encoder_cache(args.encoder_cache)
     with Path(args.crawl).open("r", encoding="utf-8") as handle:
         rows = [json.loads(line) for line in handle]
-    jobs = [
-        IngestJob(domain=row["domain"], text=row["thick_text"])
+    # Crawl files written before rows carried ``thin_text`` survey
+    # without the thin record's registrar hint.
+    jobs = jobs_from_results(
+        CrawlResult(
+            row["domain"],
+            thin_text=row.get("thin_text"),
+            thick_text=row.get("thick_text"),
+        )
         for row in rows
-        if row.get("thick_text")
-    ]
+    )
     gate = None
     if args.quarantine:
         from repro.resilience import RecordGate
@@ -201,9 +207,10 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     # The survey is the paper's bulk workload: the whole crawl runs
     # through the sharded admit -> parse -> normalize -> write pipeline
     # (--shards worker processes; --shards 1 parses inline).
-    shards = args.shards if args.shards is not None else args.jobs
     store = open_store(args.store, args.db, fresh=True)
-    db = sharded_ingest(jobs, parser, store=store, shards=shards, gate=gate)
+    db = sharded_ingest(
+        jobs, parser, store=store, shards=args.shards, gate=gate
+    )
     if args.encoder_cache:
         parser.save_encoder_cache(args.encoder_cache)
     print(f"parsed {len(db)} records")
@@ -774,18 +781,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     survey = sub.add_parser("survey", help="survey crawled records")
     survey.add_argument("model", help="model directory")
     survey.add_argument("crawl", help="crawl JSONL from the crawl command")
-    survey.add_argument("--jobs", type=int, default=1,
-                       help="parser worker processes (alias for --shards)")
     survey.add_argument("--store", choices=("memory", "sqlite"),
                         default="memory",
                         help="survey backend: in-memory rows, or a durable "
                              "sqlite replica (requires --db)")
     survey.add_argument("--db", metavar="PATH", default=None,
                         help="sqlite replica path for --store sqlite")
-    survey.add_argument("--shards", type=int, default=None,
+    survey.add_argument("--shards", type=int, default=1,
                         help="ingest worker processes; each shard gates, "
                              "parses, and writes its own replica before the "
-                             "merge (defaults to --jobs)")
+                             "merge (1 parses inline)")
     survey.add_argument("--quarantine", action="store_true",
                         help="gate records before parsing; reject garbled/"
                              "truncated ones into the quarantine table")
@@ -794,7 +799,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "mean parser marginal falls below this")
     survey.add_argument("--mmap", action="store_true",
                         help="memory-map model weights read-only (one "
-                             "physical copy shared across --jobs workers)")
+                             "physical copy shared across --shards workers)")
     survey.add_argument("--encoder-cache", metavar="PATH", default=None,
                         help="warm-start the line-encoder caches from PATH "
                              "and write them back after the survey")

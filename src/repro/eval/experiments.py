@@ -274,7 +274,6 @@ def crawl_and_survey(
     n_train: int = 300,
     n_dbl: int = 800,
     seed: int = 0,
-    jobs: int = 1,
     fault_profile=None,
     fault_seed: int = 0,
     retry_policy=None,
@@ -285,18 +284,17 @@ def crawl_and_survey(
 ) -> tuple[CrawlStats, SurveyDatabase, WhoisParser]:
     """End-to-end pipeline: crawl the zone, parse, build the database.
 
-    Parsing runs on the bulk path (:meth:`WhoisParser.parse_many`), with
-    ``jobs`` worker processes when requested -- same rows as the
-    per-record loop, at survey throughput.  DBL-listed registrations are
-    appended to the survey database directly (the blacklist join of
-    Section 6.4).
-
-    ``store`` selects the survey backend (any
-    :class:`~repro.survey.store.SurveyStore`; in-memory by default) and
-    ``shards`` > 1 routes ingest through
-    :func:`~repro.survey.ingest.sharded_ingest`, fanning the admit ->
-    parse -> normalize -> write pipeline across worker processes while
-    keeping rows identical to the single-process path.
+    The crawl enters the survey the one way every crawl does:
+    :func:`~repro.survey.ingest.jobs_from_results` then
+    :func:`~repro.survey.ingest.sharded_ingest`, on the bulk parse path
+    (:meth:`WhoisParser.parse_many`).  ``store`` selects the survey
+    backend (any :class:`~repro.survey.store.SurveyStore`; in-memory by
+    default) and ``shards`` > 1 fans the admit -> parse -> normalize ->
+    write pipeline across worker processes while keeping rows identical
+    to the single-process path.  DBL-listed registrations (the
+    blacklist join of Section 6.4) follow as ``blacklisted`` jobs of a
+    second, ungated ingest into the same store: they are not zone
+    domains, so they never enter the crawl stats.
 
     Resilience knobs: ``fault_profile`` (a name from
     :data:`repro.netsim.faults.PROFILES`, a JSON path, or a
@@ -307,7 +305,7 @@ def crawl_and_survey(
     of counting them as ok.
     """
     from repro.resilience.quarantine import RecordGate
-    from repro.survey.ingest import jobs_from_results, sharded_ingest
+    from repro.survey.ingest import IngestJob, jobs_from_results, sharded_ingest
 
     generator = CorpusGenerator(CorpusConfig(seed=seed))
     train = generator.labeled_corpus(n_train)
@@ -325,26 +323,15 @@ def crawl_and_survey(
 
     if gate is None and fault_profile is not None:
         gate = RecordGate()
-    if store is not None or shards > 1:
-        db = sharded_ingest(
-            jobs_from_results(results), parser,
-            store=store, shards=shards, gate=gate, stats=crawler.stats,
-        )
-    else:
-        parsed_crawl = WhoisCrawler.parse_results(
-            results, parser, jobs=jobs, gate=gate, stats=crawler.stats
-        )
-        db = SurveyDatabase.from_parsed_crawl(parsed_crawl)
-    dbl_records = [
-        generator.render(registration)
-        for registration in generator.dbl_registrations(n_dbl)
-    ]
-    parsed_dbl = parser.parse_many(
-        [record.text for record in dbl_records], jobs=jobs
+    db = sharded_ingest(
+        jobs_from_results(results), parser,
+        store=store, shards=shards, gate=gate, stats=crawler.stats,
     )
-    for record, parsed in zip(dbl_records, parsed_dbl):
-        db.add_parsed(record.domain, parsed, blacklisted=True)
-    db.flush()
+    dbl_jobs = [
+        IngestJob(domain=record.domain, text=record.text, blacklisted=True)
+        for record in map(generator.render, generator.dbl_registrations(n_dbl))
+    ]
+    sharded_ingest(dbl_jobs, parser, store=db.store, shards=shards)
     return crawler.stats, db, parser
 
 

@@ -24,7 +24,6 @@ from repro.netsim.clock import SimClock
 from repro.netsim.crawler import (
     CrawlResult,
     CrawlStats,
-    ParsedCrawl,
     WhoisCrawler,
 )
 from repro.netsim.faults import (
@@ -57,7 +56,6 @@ __all__ = [
     "FlapSchedule",
     "MAX_QUERY_LENGTH",
     "PROFILES",
-    "ParsedCrawl",
     "QueryOutcome",
     "resolve_profile",
     "RateLimiter",

@@ -20,10 +20,8 @@ have gone dark.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.datagen.thin import extract_referral
@@ -46,15 +44,6 @@ from repro.resilience.policies import (
     Hedge,
     RetryPolicy,
 )
-
-if TYPE_CHECKING:
-    from repro.parser.api import Parser
-    from repro.parser.fields import ParsedRecord
-    from repro.resilience.quarantine import (
-        Quarantine,
-        QuarantinedRecord,
-        RecordGate,
-    )
 
 #: Transport-level outcomes retried under the RetryPolicy (no rate-limit
 #: inference: the server did not refuse us, the network failed us).
@@ -124,9 +113,9 @@ class CrawlStats:
     Statuses are tracked per domain: re-recording a domain (a retried
     crawl, or a later quarantine of its thick record) *moves* it between
     buckets instead of double-counting it, so ``failure_rate`` stays a
-    fraction of distinct existing domains.  The legacy int fields
-    (``ok``, ``no_match``, ``thin_only``, ``failed``, ``total``) are
-    read-only views; assigning to them still works but is deprecated.
+    fraction of distinct existing domains.  The per-status counts
+    (``ok``, ``no_match``, ``thin_only``, ``failed``, ``quarantined``,
+    ``total``) are read-only views of those statuses.
     """
 
     def __init__(self) -> None:
@@ -162,60 +151,30 @@ class CrawlStats:
         self._status_by_domain[domain] = status
         self._status_counts[status] += 1
 
-    # -- legacy int fields, derived (assignment deprecated) -------------
+    # -- the per-status counts, derived from per-domain statuses ---------
 
     def _count(self, status: str) -> int:
         return self._status_counts[status]
-
-    def _override(self, status: str, value: int) -> None:
-        warnings.warn(
-            f"direct mutation of CrawlStats.{status} is deprecated; "
-            "use CrawlStats.record(result) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        # Honor the write: detach the bucket from per-domain tracking.
-        self._status_counts[status] = value
 
     @property
     def ok(self) -> int:
         """Domains whose thick record was fetched and kept."""
         return self._count("ok")
 
-    @ok.setter
-    def ok(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("ok", value)
-
     @property
     def no_match(self) -> int:
         """Domains the registry reported as unregistered."""
         return self._count("no_match")
-
-    @no_match.setter
-    def no_match(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("no_match", value)
 
     @property
     def thin_only(self) -> int:
         """Domains where only the registry's thin record arrived."""
         return self._count("thin_only")
 
-    @thin_only.setter
-    def thin_only(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("thin_only", value)
-
     @property
     def failed(self) -> int:
         """Domains with no usable record at all."""
         return self._count("failed")
-
-    @failed.setter
-    def failed(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("failed", value)
 
     @property
     def quarantined(self) -> int:
@@ -226,16 +185,6 @@ class CrawlStats:
     def total(self) -> int:
         """Distinct domains with any recorded status."""
         return sum(self._status_counts.values())
-
-    @total.setter
-    def total(self, value: int) -> None:
-        """Deprecated no-op: total always derives from statuses."""
-        warnings.warn(
-            "direct mutation of CrawlStats.total is deprecated and has no "
-            "effect; total derives from recorded statuses",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     # -- the Section 4.1 ratios ----------------------------------------
 
@@ -479,85 +428,3 @@ class WhoisCrawler:
                 obs.inc("crawler.errors", code=result.error.code)
         obs.set_gauge("crawler.crawl_sim_seconds", self.clock.now() - start)
         return results
-
-    @staticmethod
-    def parse_results(
-        results: "list[CrawlResult]",
-        parser: "Parser",
-        *,
-        jobs: int = 1,
-        gate: "RecordGate | None" = None,
-        quarantine: "Quarantine | None" = None,
-        stats: "CrawlStats | None" = None,
-    ) -> "ParsedCrawl":
-        """Parse every crawled thick record on the parser's bulk path.
-
-        ``parser`` is anything satisfying the
-        :class:`~repro.parser.api.Parser` protocol; ``jobs`` shards the
-        parse across processes when the parser supports it.  The
-        returned :class:`ParsedCrawl` keeps the thick-carrying results
-        and their parses aligned, in crawl order.
-
-        With a :class:`~repro.resilience.RecordGate` installed, records
-        the gate rejects (garbled, truncated, low-confidence) are routed
-        to ``quarantine`` (one is created if needed) and surface on the
-        result's ``quarantined`` tuple instead of the parse stream;
-        ``stats``, when given, re-accounts those domains from ``ok`` to
-        ``quarantined``.
-        """
-        from repro.resilience.quarantine import Quarantine, screen_and_parse
-
-        thick = [result for result in results if result.has_thick]
-        with obs.trace("crawler.parse_results_seconds"):
-            admitted, rejected = screen_and_parse(
-                gate, parser,
-                [(result.domain, result.thick_text) for result in thick],
-                jobs=jobs,
-            )
-        if rejected and quarantine is None:
-            quarantine = Quarantine()
-        quarantined: list[QuarantinedRecord] = []
-        for i, error in rejected:
-            result = thick[i]
-            quarantined.append(
-                quarantine.add(result.domain, result.thick_text, error)
-            )
-            if stats is not None:
-                stats.record_quarantine(result.domain, error)
-        return ParsedCrawl(
-            results=tuple(thick[i] for i, _ in admitted),
-            parsed=tuple(parsed for _, parsed in admitted),
-            quarantined=tuple(quarantined),
-        )
-
-
-@dataclass(frozen=True)
-class ParsedCrawl:
-    """The thick results of a crawl, aligned with their parses.
-
-    Iterating yields ``(CrawlResult, ParsedRecord)`` pairs in crawl
-    order -- the shape :meth:`SurveyDatabase.from_parsed_crawl` ingests.
-    ``quarantined`` carries the records the gate rejected, when
-    :meth:`WhoisCrawler.parse_results` ran with one.
-    """
-
-    results: tuple[CrawlResult, ...]
-    parsed: "tuple[ParsedRecord, ...]"
-    quarantined: "tuple[QuarantinedRecord, ...]" = ()
-
-    def __post_init__(self) -> None:
-        if len(self.results) != len(self.parsed):
-            raise ValueError(
-                f"{len(self.results)} results but {len(self.parsed)} parses"
-            )
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self) -> "Iterator[tuple[CrawlResult, ParsedRecord]]":
-        return iter(zip(self.results, self.parsed))
-
-    @property
-    def pairs(self) -> "list[tuple[CrawlResult, ParsedRecord]]":
-        """The (result, parsed) pairs as a materialized list."""
-        return list(zip(self.results, self.parsed))

@@ -3,8 +3,8 @@
 The policy engine the crawler runs against a hostile internet
 (:mod:`repro.netsim.faults`): :class:`RetryPolicy` backoff,
 :class:`Hedge` vantage escalation, per-server :class:`CircuitBreaker`
-load shedding, and the :class:`Quarantine` + :class:`RecordGate` pair
-that keeps unparseable records queryable instead of silently dropped.
+load shedding, and the :class:`RecordGate` whose rejects the survey
+keeps queryable in its quarantine table instead of silently dropping.
 Failures are typed via :mod:`repro.errors` throughout.
 """
 
@@ -15,7 +15,6 @@ from repro.resilience.policies import (
     RetryPolicy,
 )
 from repro.resilience.quarantine import (
-    Quarantine,
     QuarantinedRecord,
     RecordGate,
     screen_and_parse,
@@ -25,7 +24,6 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "Hedge",
-    "Quarantine",
     "QuarantinedRecord",
     "RecordGate",
     "RetryPolicy",

@@ -7,16 +7,16 @@ and must stay queryable.  :class:`RecordGate` decides which fetched
 thick records to reject -- structurally garbled ones (empty bodies,
 NULs, mojibake) and, when the parser exposes posterior marginals,
 records whose label confidence collapses (the signature of truncation
-and format damage).  Rejected records land in a :class:`Quarantine`
-store and flow into the survey database as first-class ``quarantined``
-rows instead of silently counting as ``ok``.
+and format damage).  Rejected records land in the survey database's
+quarantine table as first-class :class:`QuarantinedRecord` rows instead
+of silently counting as ``ok``.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.errors import CrawlError, GarbledRecord, Truncated
@@ -35,37 +35,6 @@ class QuarantinedRecord:
     def reason(self) -> str:
         """The stable taxonomy code of the rejection error."""
         return self.error.code
-
-
-class Quarantine:
-    """An append-only store of rejected records, queryable by reason."""
-
-    def __init__(self) -> None:
-        self.records: list[QuarantinedRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[QuarantinedRecord]:
-        return iter(self.records)
-
-    def add(self, domain: str, text: str, error: CrawlError) -> QuarantinedRecord:
-        """Store one rejection and return the quarantined record."""
-        record = QuarantinedRecord(domain=domain, text=text, error=error)
-        self.records.append(record)
-        obs.inc("resilience.quarantine.records", reason=error.code)
-        return record
-
-    def by_reason(self, code: str) -> list[QuarantinedRecord]:
-        """All quarantined records rejected with taxonomy code ``code``."""
-        return [r for r in self.records if r.reason == code]
-
-    def counts(self) -> dict[str, int]:
-        """Rejection tally by taxonomy code."""
-        tally: dict[str, int] = {}
-        for record in self.records:
-            tally[record.reason] = tally.get(record.reason, 0) + 1
-        return tally
 
 
 #: A thick record more than this share of whose characters read as
@@ -191,8 +160,6 @@ def screen_and_parse(
     gate: "RecordGate | None",
     parser,
     records: Sequence[tuple[str, str]],
-    *,
-    jobs: int = 1,
 ) -> tuple[list[tuple[int, object]], list[tuple[int, CrawlError]]]:
     """Gate a batch of ``(domain, text)`` records, then parse the admitted.
 
@@ -201,10 +168,10 @@ def screen_and_parse(
     rejects, each in input order.  The gate sees only ``inspect``; when
     the parser has ``line_confidences_many`` the whole batch is scored
     in one pass on the first confidence check, and ``parse_many`` over
-    the admitted records (``jobs`` forwards to it) then finds their
-    lines in the line cache that scoring filled.  Parsers with only a
-    per-record ``line_confidences`` are asked per record, and parsers
-    with neither pass the confidence check.
+    the admitted records then finds their lines in the line cache that
+    scoring filled.  Parsers with only a per-record ``line_confidences``
+    are asked per record, and parsers with neither pass the confidence
+    check.
     """
     records = list(records)
     rejected: list[tuple[int, CrawlError]] = []
@@ -222,5 +189,5 @@ def screen_and_parse(
                 keep.append(i)
             else:
                 rejected.append((i, error))
-    parsed = parser.parse_many([records[i][1] for i in keep], jobs=jobs)
+    parsed = parser.parse_many([records[i][1] for i in keep])
     return list(zip(keep, parsed)), rejected

@@ -14,10 +14,9 @@ in the backend instead of copying entry lists.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro import obs
 from repro.errors import CrawlError
@@ -70,10 +69,9 @@ def entry_from_parsed(
 ) -> DomainEntry:
     """Normalize one parsed record into a :class:`DomainEntry`.
 
-    This is the ingestion transform shared by every path into the
-    survey -- the facade's :meth:`SurveyDatabase.add_parsed` and the
-    sharded ingest workers both run records through here, which is what
-    keeps single-process and sharded surveys row-identical.
+    This is the survey's one ingestion transform: every row enters
+    through :meth:`SurveyDatabase.add_parsed`, which runs records through
+    here.
     """
     name = parsed.registrant.get("name")
     org = parsed.registrant.get("org")
@@ -99,10 +97,9 @@ class SurveyDatabase:
 
     Construction takes an optional backend (``SurveyDatabase()`` keeps
     the historical in-memory behavior); filters return views onto the
-    same backend.  The legacy ``.entries`` / ``.quarantine`` list
-    attributes survive as deprecated materializing shims -- new code
-    iterates (``for entry in db``), counts (``len(db)``), or queries
-    (:meth:`get`, :meth:`group_counts`) instead.
+    same backend.  Callers iterate (``for entry in db``), count
+    (``len(db)``), or query (:meth:`get`, :meth:`group_counts`); crawls
+    enter through :func:`~repro.survey.ingest.sharded_ingest`.
     """
 
     def __init__(
@@ -145,54 +142,6 @@ class SurveyDatabase:
     def close(self) -> None:
         """Flush and release the backend (a no-op for memory stores)."""
         self.store.close()
-
-    # ------------------------------------------------------------------
-    # Deprecated list shims
-    # ------------------------------------------------------------------
-
-    @property
-    def entries(self) -> list[DomainEntry]:
-        """Deprecated: the materialized entry list.
-
-        Kept for source compatibility; it copies every row into memory,
-        which defeats the streaming backends.  Iterate the database (or
-        use :meth:`group_counts` / :meth:`get`) instead.
-        """
-        warnings.warn(
-            "SurveyDatabase.entries materializes the full entry list; "
-            "iterate the database or use the query API instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.store.iter_entries(self._filter))
-
-    @entries.setter
-    def entries(self, value: list[DomainEntry]) -> None:
-        warnings.warn(
-            "assigning SurveyDatabase.entries is deprecated; build a "
-            "MemoryStore (or use the filter views) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = MemoryStore()
-        store.extend(value)
-        self.store = store
-        self._filter = MATCH_ALL
-
-    @property
-    def quarantine(self) -> list[QuarantinedRecord]:
-        """Deprecated: the materialized quarantine list.
-
-        Use :meth:`iter_quarantine`, :meth:`quarantine_counts`, or
-        :attr:`n_quarantined` instead.
-        """
-        warnings.warn(
-            "SurveyDatabase.quarantine materializes the quarantine "
-            "table; use iter_quarantine()/quarantine_counts() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.store.iter_quarantine())
 
     # ------------------------------------------------------------------
     # Ingest
@@ -258,124 +207,6 @@ class SurveyDatabase:
         """Quarantined rows per taxonomy code (the coverage accounting
         complement: fetched but untrusted)."""
         return self.store.quarantine_counts()
-
-    @classmethod
-    def from_parsed_records(
-        cls,
-        records: Iterable[tuple[str, ParsedRecord]],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Build a database straight from ``(domain, parsed)`` pairs."""
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        for domain, parsed in records:
-            db.add_parsed(domain, parsed, blacklisted=domain in blacklisted)
-        db.flush()
-        return db
-
-    @classmethod
-    def from_crawl(
-        cls,
-        results: Iterable,
-        parse: Callable[[str], ParsedRecord],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Parse every successful crawl result into a database.
-
-        The registrar named by the thin record serves as a hint when the
-        thick record's own registrar line is missing -- the two-step thin ->
-        thick data flow of Section 4.1.
-        """
-        from repro.datagen.thin import extract_registrar
-
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        for result in results:
-            if getattr(result, "thick_text", None) is None:
-                continue
-            parsed = parse(result.thick_text)
-            thin_text = getattr(result, "thin_text", None)
-            hint = extract_registrar(thin_text) if thin_text else None
-            db.add_parsed(
-                result.domain,
-                parsed,
-                registrar_hint=hint,
-                blacklisted=result.domain in blacklisted,
-            )
-        db.flush()
-        return db
-
-    @classmethod
-    def from_parsed_crawl(
-        cls,
-        parsed_crawl: Iterable,
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Ingest a :class:`~repro.netsim.crawler.ParsedCrawl`.
-
-        Accepts anything yielding ``(crawl result, ParsedRecord)`` pairs;
-        the registrar named by each thin record serves as a hint when the
-        thick record's own registrar line is missing -- the two-step
-        thin -> thick data flow of Section 4.1.  Records the parse-time
-        record gate quarantined (a ``quarantined`` attribute on the
-        input, when present) land in the database's quarantine table.
-        """
-        from repro.datagen.thin import extract_registrar
-
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        with obs.trace("survey.build_seconds"):
-            for result, parsed in parsed_crawl:
-                thin_text = getattr(result, "thin_text", None)
-                hint = extract_registrar(thin_text) if thin_text else None
-                db.add_parsed(
-                    result.domain,
-                    parsed,
-                    registrar_hint=hint,
-                    blacklisted=result.domain in blacklisted,
-                )
-            for record in getattr(parsed_crawl, "quarantined", ()):
-                db.add_quarantined(record.domain, record.text, record.error)
-        db.flush()
-        return db
-
-    @classmethod
-    def from_crawl_bulk(
-        cls,
-        results: Iterable,
-        parse_many: Callable[[list[str]], list[ParsedRecord]],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """:meth:`from_crawl` on the batched parser path.
-
-        ``parse_many`` maps a list of record texts to their
-        :class:`ParsedRecord` objects in one call -- normally
-        ``parser.parse_many`` (bind ``jobs`` with a lambda or
-        ``functools.partial`` to shard across processes).  Row for row,
-        the result is identical to :meth:`from_crawl` with the same
-        parser; this path is how the Section 6 survey scales to a full
-        zone crawl.
-        """
-        from repro.netsim.crawler import ParsedCrawl
-
-        kept = [
-            result for result in results
-            if getattr(result, "thick_text", None) is not None
-        ]
-        parsed_records = parse_many([r.thick_text for r in kept])
-        return cls.from_parsed_crawl(
-            ParsedCrawl(results=tuple(kept), parsed=tuple(parsed_records)),
-            blacklisted_domains=blacklisted_domains,
-            store=store,
-        )
 
     # ------------------------------------------------------------------
     # Filter views (share the store; no copying)

@@ -1,42 +1,45 @@
-"""Sharded survey ingest: fan crawl batches out to parser workers, merge
-per-shard replicas into one store.
+"""Survey ingest: the one way crawl results become survey rows.
 
-The paper's survey parses 102M records; one process's ``parse_many``
-saturates one machine's cores but still funnels every normalized row
-through a single writer.  This module completes the
-``audioscavenger/whoisd`` shape -- bulk ingest into a real database --
-by running the whole admit -> parse -> normalize -> write pipeline per
-shard:
+The paper's survey parses 102M records from one thin -> thick crawl
+(Sections 4.1 and 6).  Here every crawl enters the same way:
+:func:`jobs_from_results` turns crawl results into :class:`IngestJob`
+rows (the thick record, with the thin record's registrar as a hint),
+and :func:`sharded_ingest` runs them through one body,
+:func:`_ingest_inline`: gate and parse
+(:func:`~repro.resilience.screen_and_parse`: one scoring pass over the
+batch, then one parse of the admitted records), normalize, and write
+-- the ``audioscavenger/whoisd`` shape of bulk ingest into a real
+database.
 
-1. the coordinator splits the ingest jobs into ``shards`` contiguous
-   chunks (a static work queue: chunk boundaries are deterministic, so
-   sharded output is row-identical to single-process output);
+With ``shards > 1`` that body runs once per shard:
+
+1. the coordinator splits the jobs into ``shards`` contiguous chunks (a
+   static work queue: chunk boundaries are deterministic, so sharded
+   output is row-identical to single-process output);
 2. each worker process (reusing the fork/mmap-friendly pool-initializer
-   pattern of :meth:`WhoisParser.parse_many`) gates and parses its chunk
-   (:func:`~repro.resilience.screen_and_parse`: one scoring pass over
-   the chunk, then one parse of the admitted records), normalizes it,
-   and writes a private per-shard replica --
-   sqlite file or in-memory rows, matching the destination backend;
-3. the coordinator merges shard replicas into the destination store in
-   shard order (``ATTACH`` + ``INSERT .. SELECT`` for sqlite) and
-   re-accounts quarantined domains into the crawl stats.
+   pattern of :meth:`WhoisParser.parse_many`) runs the inline body over
+   its chunk into its own sqlite shard -- beside a file-backed
+   destination, under a temporary directory otherwise;
+3. the coordinator merges the shards into the destination in shard
+   order (:meth:`~repro.survey.store.SurveyStore.absorb`: ``ATTACH`` +
+   ``INSERT .. SELECT`` for sqlite) and re-accounts quarantined domains
+   into the crawl stats from each shard's quarantine table.
 
 Workers never ship parsed records back through the pipe -- only shard
-paths and small quarantine summaries -- so the coordinator's memory
-stays flat no matter the record count.
+paths -- so the coordinator's memory stays flat no matter the record
+count.
 """
 
 from __future__ import annotations
 
-import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
-from repro.errors import error_from_payload
-from repro.resilience.quarantine import QuarantinedRecord, screen_and_parse
-from repro.survey.database import SurveyDatabase, entry_from_parsed
+from repro.resilience.quarantine import screen_and_parse
+from repro.survey.database import SurveyDatabase
 from repro.survey.store import MemoryStore, SqliteStore, SurveyStore
 
 if TYPE_CHECKING:
@@ -100,53 +103,16 @@ def _init_ingest_worker(parser) -> None:
     _INGEST_PARSER = parser
 
 
-def _ingest_shard(payload):
-    """Worker body: gate, parse, normalize, and store one shard.
-
-    Returns ``(shard_db_path_or_entry_rows, n_entries, quarantine
-    summaries)``; entries travel back through the pipe only for the
-    in-memory backend.
-    """
+def _ingest_shard(payload) -> str:
+    """Worker body: the inline ingest of one chunk into its own sqlite
+    shard.  Returns the shard's path."""
     jobs, shard_path, batch_size, gate = payload
-    admitted, rejected = screen_and_parse(
-        gate, _INGEST_PARSER, [(job.domain, job.text) for job in jobs]
-    )
-    quarantined = [
-        (jobs[i].domain, jobs[i].text, error.to_payload())
-        for i, error in rejected
-    ]
-    rows = [
-        (
-            entry_from_parsed(
-                jobs[i].domain, parsed,
-                registrar_hint=jobs[i].registrar_hint,
-                blacklisted=jobs[i].blacklisted,
-            ),
-            parsed,
-            _audit_for(jobs[i], parsed),
-        )
-        for i, parsed in admitted
-    ]
-    if shard_path is None:
-        return (
-            [(entry, audit) for entry, _, audit in rows],
-            len(rows),
-            quarantined,
-        )
-    store = SqliteStore(shard_path, batch_size=batch_size, fresh=True)
+    db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
     try:
-        for entry, parsed, audit in rows:
-            store.append(entry, record=parsed.to_jsonable())
-            if audit is not None:
-                store.append_audit(audit)
-        for domain, text, payload_dict in quarantined:
-            store.append_quarantined(QuarantinedRecord(
-                domain=domain, text=text,
-                error=error_from_payload(payload_dict),
-            ))
+        _ingest_inline(jobs, _INGEST_PARSER, db, gate=gate, stats=None)
     finally:
-        store.close()
-    return shard_path, len(rows), quarantined
+        db.close()
+    return shard_path
 
 
 def _audit_for(job: IngestJob, parsed):
@@ -190,49 +156,34 @@ def sharded_ingest(
     if method is None:
         method = "fork" if "fork" in mp.get_all_start_methods() else None
     ctx = mp.get_context(method)
-    sqlite_dest = (
-        isinstance(destination, SqliteStore)
-        and destination.path != ":memory:"
-    )
-    shard_dir = Path(destination.path).parent if sqlite_dest else None
+    path = getattr(destination, "path", ":memory:")
+    shard_root = None if path == ":memory:" else Path(path).parent
     bounds = [len(jobs) * i // shards for i in range(shards + 1)]
-    payloads = []
-    for i in range(shards):
-        shard_path = (
-            str(shard_dir / f".{Path(destination.path).name}.shard{i}")
-            if sqlite_dest else None
-        )
-        payloads.append(
-            (jobs[bounds[i]:bounds[i + 1]], shard_path, batch_size, gate)
-        )
-    with obs.trace("survey.sharded_ingest_seconds", shards=str(shards)):
+    with (
+        obs.trace("survey.sharded_ingest_seconds", shards=str(shards)),
+        tempfile.TemporaryDirectory(
+            prefix=".survey-shards-", dir=shard_root
+        ) as shard_dir,
+    ):
+        payloads = [
+            (jobs[bounds[i]:bounds[i + 1]],
+             str(Path(shard_dir) / f"shard{i}.db"), batch_size, gate)
+            for i in range(shards)
+        ]
         with ctx.Pool(
             shards, initializer=_init_ingest_worker, initargs=(parser,)
         ) as pool:
-            parts = pool.map(_ingest_shard, payloads)
-        for result, n_rows, quarantined in parts:
-            if sqlite_dest:
-                destination.merge_file(result)
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(result + suffix)
-                    except FileNotFoundError:
-                        pass
-            else:
-                for entry, audit in result:
-                    destination.append(entry)
-                    if audit is not None:
-                        destination.append_audit(audit)
-                for domain, text, payload_dict in quarantined:
-                    db.add_quarantined(
-                        domain, text, error_from_payload(payload_dict)
-                    )
-            obs.inc("survey.sharded_rows", n_rows)
-            if stats is not None:
-                for domain, _text, payload_dict in quarantined:
-                    stats.record_quarantine(
-                        domain, error_from_payload(payload_dict)
-                    )
+            shard_paths = pool.map(_ingest_shard, payloads)
+        for shard_path in shard_paths:
+            shard = SqliteStore(shard_path, read_only=True)
+            try:
+                destination.absorb(shard)
+                for record in shard.iter_quarantine():
+                    obs.inc("survey.quarantined_rows", reason=record.reason)
+                    if stats is not None:
+                        stats.record_quarantine(record.domain, record.error)
+            finally:
+                shard.close()
     db.flush()
     return db
 
@@ -245,7 +196,9 @@ def _ingest_inline(
     gate: "RecordGate | None",
     stats: "CrawlStats | None",
 ) -> SurveyDatabase:
-    """The shards=1 path: same pipeline, no worker processes."""
+    """The one ingest body: gate, parse, normalize and write ``jobs``
+    into ``db`` (run in-process for ``shards <= 1``, per shard
+    otherwise)."""
     admitted, rejected = screen_and_parse(
         gate, parser, [(job.domain, job.text) for job in jobs]
     )

@@ -12,6 +12,11 @@ from __future__ import annotations
 import re
 
 from repro.datagen.countries import COUNTRIES
+from repro.datagen.registrars import (
+    REGISTRARS,
+    TAIL_REGISTRAR_COUNT,
+    tail_registrar_profile,
+)
 
 #: free-text country spelling (lowercased) -> ISO code
 _COUNTRY_LOOKUP: dict[str, str] = {}
@@ -56,6 +61,28 @@ _REGISTRAR_DISPLAY = {
 }
 
 
+_CORPORATE_SUFFIX = re.compile(
+    r",?\s*(llc|inc\.?|ltd\.?|corporation|corp\.?|ag|sas|gmbh)\.?$",
+    re.IGNORECASE,
+)
+
+
+def _strip_suffix(name: str) -> str:
+    return _CORPORATE_SUFFIX.sub("", name.strip())
+
+
+#: suffix-free registrar name (lowercased) -> its spelling in the
+#: generator's profiles, so the registry's upper-cased thin-record
+#: spelling and the thick record's spelling name one registrar
+_REGISTRAR_LOOKUP = {
+    _strip_suffix(profile.name).lower(): _strip_suffix(profile.name)
+    for profile in (
+        *REGISTRARS,
+        *map(tail_registrar_profile, range(TAIL_REGISTRAR_COUNT)),
+    )
+}
+
+
 def canonical_registrar(name: str | None) -> str | None:
     """Short display name for a registrar, tolerant of case and suffixes."""
     if not name:
@@ -64,14 +91,9 @@ def canonical_registrar(name: str | None) -> str | None:
     for key, display in _REGISTRAR_DISPLAY.items():
         if key in lowered:
             return display
-    # Strip corporate suffixes for unknown registrars.
-    cleaned = re.sub(
-        r",?\s*(llc|inc\.?|ltd\.?|corporation|corp\.?|ag|sas|gmbh)\.?$",
-        "",
-        name.strip(),
-        flags=re.IGNORECASE,
-    )
-    return cleaned
+    # Strip corporate suffixes for registrars outside the table.
+    cleaned = _strip_suffix(name)
+    return _REGISTRAR_LOOKUP.get(cleaned.lower(), cleaned)
 
 
 #: Section 6.3 keyword list for privacy/proxy detection

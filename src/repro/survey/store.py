@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro import obs
 from repro.errors import error_from_payload
@@ -210,6 +210,11 @@ class SurveyStore(Protocol):
         """Flush and release the backend's resources."""
         ...
 
+    def absorb(self, other: "SurveyStore") -> None:
+        """Append every row of ``other`` in its order (the merge step of
+        sharded ingest)."""
+        ...
+
 
 def _group_value(entry, key: str):
     """The grouping value of one entry for ``key`` (MemoryStore path)."""
@@ -242,10 +247,6 @@ class MemoryStore:
     def append(self, entry, *, record: dict | None = None) -> None:
         """Append one entry (``record`` JSON is dropped; see class doc)."""
         self._entries.append(entry)
-
-    def extend(self, entries: Iterable) -> None:
-        """Bulk-append entries in order."""
-        self._entries.extend(entries)
 
     def append_quarantined(self, record: QuarantinedRecord) -> None:
         """Append one quarantined record."""
@@ -552,11 +553,6 @@ class SqliteStore:
         self._pending.append(self._entry_row(entry, record))
         if len(self._pending) >= self.batch_size:
             self.flush()
-
-    def extend(self, entries: Iterable) -> None:
-        """Bulk-append entries in order, committing per batch."""
-        for entry in entries:
-            self.append(entry)
 
     def append_quarantined(self, record: QuarantinedRecord) -> None:
         """Buffer one quarantined record (text, taxonomy code, and the

@@ -29,7 +29,7 @@ from repro.netsim.internet import SimulatedInternet, build_com_internet
 from repro.parser import WhoisParser
 from repro.resilience import BreakerPolicy, RecordGate
 from repro.resilience.quarantine import _suspicious_fraction
-from repro.survey.database import SurveyDatabase
+from repro.survey.ingest import jobs_from_results, sharded_ingest
 
 
 # ----------------------------------------------------------------------
@@ -246,29 +246,28 @@ def test_default_hostile_meets_the_acceptance_bar():
         else:
             assert result.status == "ok"
 
-    # Quarantine the garbled records the fault plan injected.
+    # Quarantine the garbled records the fault plan injected: they flow
+    # into the survey database as first-class rows, queryable by
+    # taxonomy code.
     parser = _tiny_parser()
-    parsed = WhoisCrawler.parse_results(
-        results, parser, gate=RecordGate(), stats=stats,
+    db = sharded_ingest(
+        jobs_from_results(results), parser,
+        shards=1, gate=RecordGate(), stats=stats,
     )
-    assert stats.quarantined == len(parsed.quarantined) > 0
-    assert {r.reason for r in parsed.quarantined} <= {
+    quarantined = list(db.iter_quarantine())
+    assert stats.quarantined == db.n_quarantined == len(quarantined) > 0
+    assert {r.reason for r in quarantined} <= {
         "garbled_record", "truncated",
     }
+    assert set(db.quarantine_counts()) == {r.reason for r in quarantined}
+    assert set(db.quarantined_domains()).isdisjoint(
+        e.domain for e in db
+    )
 
     # The Section 4.1 shape, with the injected faults on top: a bit over
     # 90% thick coverage, a single-digit failure rate.
     assert stats.thick_coverage > 0.90
     assert 0.0 < stats.failure_rate < 0.10
-
-    # Quarantined records flow into the survey database as first-class
-    # rows, queryable by taxonomy code.
-    db = SurveyDatabase.from_parsed_crawl(parsed)
-    assert db.n_quarantined == stats.quarantined
-    assert set(db.quarantine_counts()) == {r.reason for r in parsed.quarantined}
-    assert set(db.quarantined_domains()).isdisjoint(
-        e.domain for e in db
-    )
 
 
 def _tiny_parser():

@@ -112,10 +112,47 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["crawl", str(crawl_path), "--domains", "150",
                  "--seed", "3"]) == 0
     assert crawl_path.exists()
+    rows = [json.loads(line) for line in crawl_path.read_text().splitlines()]
+    assert any(row["thin_text"] for row in rows)
     capsys.readouterr()
     assert main(["survey", str(model_path), str(crawl_path)]) == 0
     out = capsys.readouterr().out
     assert "Table 3" in out and "Table 5" in out
+
+
+def test_cli_survey_takes_the_registrar_from_the_thin_record(tmp_path):
+    """A crawl row whose thick record has no registrar line surveys with
+    the thin record's registrar; rows of older crawl files, which carry
+    no ``thin_text``, survey without one."""
+    from repro.survey.store import SqliteStore
+
+    corpus_path = tmp_path / "c.jsonl"
+    model_path = tmp_path / "m"
+    main(["generate", str(corpus_path), "--count", "40", "--seed", "9"])
+    main(["train", str(corpus_path), str(model_path)])
+    thick = (
+        "Domain Name: {}\n"
+        "Creation Date: 2012-03-04\n"
+        "Registrant Name: John Smith\n"
+        "Registrant Country: US\n"
+    )
+    rows = [
+        {"domain": "hinted.com", "status": "ok",
+         "thin_text": "   Domain Name: HINTED.COM\n"
+                      "   Registrar: KEY-SYSTEMS GMBH\n",
+         "thick_text": thick.format("HINTED.COM")},
+        {"domain": "older.com", "status": "ok",
+         "thick_text": thick.format("OLDER.COM")},
+    ]
+    crawl_path = tmp_path / "crawl.jsonl"
+    crawl_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    db_path = tmp_path / "survey.db"
+    assert main(["survey", "--store", "sqlite", "--db", str(db_path),
+                 str(model_path), str(crawl_path)]) == 0
+    store = SqliteStore(db_path, read_only=True)
+    assert store.get("hinted.com").registrar == "Key-Systems"
+    assert store.get("older.com").registrar is None
+    store.close()
 
 
 def test_cli_parse_from_stdin(tmp_path, capsys, monkeypatch):

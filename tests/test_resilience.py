@@ -24,7 +24,6 @@ from repro.resilience import (
     BreakerPolicy,
     CircuitBreaker,
     Hedge,
-    Quarantine,
     RecordGate,
     RetryPolicy,
 )
@@ -247,18 +246,6 @@ def test_breaker_policy_validates_and_loads():
 # ----------------------------------------------------------------------
 
 
-def test_quarantine_store_is_queryable_by_reason():
-    quarantine = Quarantine()
-    quarantine.add("a.com", "", GarbledRecord("empty", domain="a.com"))
-    quarantine.add("b.com", "x", Truncated("short", domain="b.com"))
-    quarantine.add("c.com", "", GarbledRecord("mojibake", domain="c.com"))
-    assert len(quarantine) == 3
-    assert [r.domain for r in quarantine.by_reason("garbled_record")] == [
-        "a.com", "c.com",
-    ]
-    assert quarantine.counts() == {"garbled_record": 2, "truncated": 1}
-
-
 CLEAN_RECORD = (
     "Domain Name: example.com\n"
     "Registrar: Example Registrar, Inc.\n"
@@ -377,16 +364,6 @@ def test_stats_quarantine_moves_ok_domains():
     assert stats.thick_coverage == 0.75
     assert stats.thick_fetch_rate == 1.0
     assert "quarantined=1" in repr(stats)
-
-
-def test_stats_legacy_int_fields_warn_on_assignment():
-    stats = CrawlStats()
-    with pytest.warns(DeprecationWarning):
-        stats.ok = 7
-    assert stats.ok == 7  # the write is honored
-    with pytest.warns(DeprecationWarning):
-        stats.total = 99
-    assert stats.total == 7  # ...but total always derives
 
 
 def test_stats_reads_do_not_warn():

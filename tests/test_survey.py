@@ -6,6 +6,11 @@ import pytest
 
 from repro.datagen import CorpusGenerator
 from repro.datagen.corpus import CorpusConfig
+from repro.datagen.registrars import (
+    REGISTRARS,
+    TAIL_REGISTRAR_COUNT,
+    tail_registrar_profile,
+)
 from repro.parser import WhoisParser
 from repro.parser.fields import ParsedRecord
 from repro.survey.analysis import (
@@ -66,10 +71,31 @@ def test_canonical_country(text, code):
         ("Xin Net Technology Corporation", "Xinnet"),
         ("Some Unknown Registrar, Inc.", "Some Unknown Registrar"),
         (None, None),
+        # The registry's thin records upper-case the registrar's name.
+        ("KEY-SYSTEMS GMBH", "Key-Systems"),
+        ("GANDI SAS", "Gandi"),
+        ("UNITED-DOMAINS AG", "united-domains"),
+        ("ENAME TECHNOLOGY CO., LTD.", "eName Technology Co."),
+        ("LAUNCHPAD.COM INC.", "Launchpad.com"),
+        ("DYNADOT, LLC", "Dynadot"),
+        ("TODAYNIC.COM, INC.", "Todaynic.com"),
+        ("VITALWERKS INTERNET SOLUTIONS, LLC", "Vitalwerks Internet Solutions"),
+        ("DOMAIN REGISTRAR 07, INC.", "Domain Registrar 07"),
     ],
 )
 def test_canonical_registrar(name, display):
     assert canonical_registrar(name) == display
+
+
+def test_canonical_registrar_ignores_the_registrys_upper_casing():
+    """A thin-record hint and a thick record name one registrar once."""
+    profiles = list(REGISTRARS) + [
+        tail_registrar_profile(i) for i in range(TAIL_REGISTRAR_COUNT)
+    ]
+    for profile in profiles:
+        assert canonical_registrar(profile.name) == canonical_registrar(
+            profile.name.upper()
+        ), profile.name
 
 
 def test_detect_privacy_service():

@@ -2,14 +2,13 @@
 
 from dataclasses import dataclass
 
-import pytest
-
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.netsim.crawler import WhoisCrawler
 from repro.netsim.internet import build_com_internet
 from repro.parser import WhoisParser
 from repro.parser.fields import ParsedRecord
-from repro.survey.database import SurveyDatabase
+from repro.survey.ingest import jobs_from_results, sharded_ingest
+from repro.survey.normalize import canonical_registrar
 
 
 @dataclass
@@ -19,26 +18,41 @@ class _FakeResult:
     thick_text: str | None
 
 
+class _FakeParser:
+    """Parses every record to a registrant with no registrar line."""
+
+    def parse_many(self, texts):
+        records = []
+        for _ in texts:
+            parsed = ParsedRecord()
+            parsed.registrant = {"name": "John Smith"}
+            records.append(parsed)
+        return records
+
+
+def _survey(results, parser):
+    return sharded_ingest(jobs_from_results(results), parser, shards=1)
+
+
 def test_registrar_hint_from_thin_record():
     """A thick record without a registrar line falls back to the thin one."""
-    thin = "   Domain Name: X.COM\n   Registrar: ENOM, INC.\n"
     thick = "Registrant Name: John Smith\n"
 
-    def fake_parse(text):
-        parsed = ParsedRecord()
-        parsed.registrant = {"name": "John Smith"}
-        return parsed
+    def thin(registrar):
+        return f"   Domain Name: X.COM\n   Registrar: {registrar}\n"
 
-    db = SurveyDatabase.from_crawl(
-        [_FakeResult("x.com", thin, thick)], fake_parse
-    )
+    db = _survey([
+        _FakeResult("x.com", thin("ENOM, INC."), thick),
+        _FakeResult("y.com", thin("KEY-SYSTEMS GMBH"), thick),
+    ], _FakeParser())
     assert db.get("x.com").registrar == "eNom"
+    # The registry upper-cases the name; the hint still names the
+    # registrar the way its thick records spell it.
+    assert db.get("y.com").registrar == "Key-Systems"
 
 
 def test_results_without_thick_records_skipped():
-    db = SurveyDatabase.from_crawl(
-        [_FakeResult("x.com", "thin", None)], lambda text: ParsedRecord()
-    )
+    db = _survey([_FakeResult("x.com", "thin", None)], _FakeParser())
     assert len(db) == 0
 
 
@@ -50,10 +64,8 @@ def test_crawl_to_survey_registrar_agreement():
     internet, _, _ = build_com_internet(gen, zone, registrations)
     crawler = WhoisCrawler(internet)
     results = crawler.crawl(zone)
-    db = SurveyDatabase.from_crawl(results, parser.parse)
+    db = _survey(results, parser)
     assert len(db) > 250
-
-    from repro.survey.normalize import canonical_registrar
 
     agree = total = 0
     for entry in db:
@@ -71,7 +83,7 @@ def test_crawl_to_survey_country_agreement():
     zone, registrations = gen.zone(400)
     internet, _, _ = build_com_internet(gen, zone, registrations)
     results = WhoisCrawler(internet).crawl(zone)
-    db = SurveyDatabase.from_crawl(results, parser.parse)
+    db = _survey(results, parser)
 
     agree = total = 0
     for entry in db:

@@ -319,20 +319,8 @@ def test_sharded_ingest_quarantines_through_the_gate(tmp_path, tiny_world):
 
 
 # ----------------------------------------------------------------------
-# Facade: deprecation shims, factory, filter SQL
+# Facade: factory, filter SQL
 # ----------------------------------------------------------------------
-
-
-def test_legacy_list_attributes_warn_but_work():
-    db = SurveyDatabase()
-    db.add_parsed("a.com", _parsed())
-    db.add_quarantined("b.com", "junk", GarbledRecord("junk"))
-    with pytest.warns(DeprecationWarning, match="entries"):
-        entries = db.entries
-    assert [entry.domain for entry in entries] == ["a.com"]
-    with pytest.warns(DeprecationWarning, match="quarantine"):
-        quarantine = db.quarantine
-    assert [q.domain for q in quarantine] == ["b.com"]
 
 
 def test_open_store_factory(tmp_path):
