@@ -121,6 +121,34 @@ class Histogram:
             cumulative += bucket_count
         return self.max or 0.0
 
+    def state(self) -> tuple:
+        """Plain, picklable copy of this series for :meth:`merge`."""
+        return (
+            self.bounds, list(self.bucket_counts), self.count, self.total,
+            self.min, self.max, list(self._sample),
+        )
+
+    def merge(self, state: tuple) -> None:
+        """Fold another series' :meth:`state` in: buckets, counts and sums
+        add, min/max combine, and its sample fills ours up to its size."""
+        bounds, bucket_counts, count, total, low, high, sample = state
+        if tuple(bounds) != tuple(self.bounds):
+            raise ValueError("cannot merge histograms with different buckets")
+        self.bucket_counts = [
+            mine + theirs
+            for mine, theirs in zip(self.bucket_counts, bucket_counts)
+        ]
+        self.count += count
+        self.total += total
+        if low is not None and (self.min is None or low < self.min):
+            self.min = low
+        if high is not None and (self.max is None or high > self.max):
+            self.max = high
+        for value in sample:
+            if len(self._sample) >= self._sample_size:
+                break
+            insort(self._sample, value)
+
     def snapshot(self) -> dict:
         """JSON-friendly view of this series."""
         cumulative, buckets = 0, {}
@@ -230,6 +258,43 @@ class MetricsRegistry:
             set(self._counters) | set(self._gauges) | set(self._histograms)
         )
 
+    def dump(self) -> dict:
+        """Plain, picklable copy of the counters and histograms.
+
+        What a worker process hands back so its coordinator can
+        :meth:`merge` it (the registry itself holds a lock and does not
+        pickle).  Gauges describe one process and are left out.
+        """
+        with self._lock:
+            return {
+                "counters": [
+                    (name, labels, value)
+                    for name, by_labels in self._counters.items()
+                    for labels, value in by_labels.items()
+                ],
+                "histograms": [
+                    (name, labels, histogram.state())
+                    for name, by_labels in self._histograms.items()
+                    for labels, histogram in by_labels.items()
+                ],
+            }
+
+    def merge(self, dumped: dict) -> None:
+        """Fold another registry's :meth:`dump` into this one: counters
+        add, histograms combine (:meth:`Histogram.merge`)."""
+        with self._lock:
+            for name, labels, value in dumped["counters"]:
+                by_labels, key = self._series(self._counters, name, labels)
+                by_labels[key] = by_labels.get(key, 0.0) + value
+            for name, labels, state in dumped["histograms"]:
+                by_labels, key = self._series(self._histograms, name, labels)
+                histogram = by_labels.get(key)
+                if histogram is None:
+                    histogram = by_labels[key] = Histogram(
+                        self.bounds, sample_size=self.sample_size
+                    )
+                histogram.merge(state)
+
     def snapshot(self) -> dict:
         """One JSON-friendly dict covering every series in the registry."""
 
@@ -278,8 +343,9 @@ def active() -> MetricsRegistry | None:
 
 
 @contextmanager
-def use(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` for the duration of a ``with`` block."""
+def use(registry: MetricsRegistry | None) -> Iterator[MetricsRegistry | None]:
+    """Install ``registry`` for the duration of a ``with`` block (None:
+    instrumentation off for the block)."""
     global _REGISTRY
     previous = _REGISTRY
     _REGISTRY = registry

@@ -38,7 +38,7 @@ from repro.parser.statistical import WhoisParser
 __all__ = ["ModelRegistry"]
 
 _ACTIVE_FILE = "ACTIVE"
-_ENCODER_CACHE_FILE = "encoder_cache.json"
+_ENCODER_CACHE_FILE = "encoder_cache.npz"
 
 
 class ModelRegistry:
@@ -57,11 +57,16 @@ class ModelRegistry:
     version and the rollback target), releasing their mappings instead
     of accumulating one per swap.
 
-    Each version directory may also carry an ``encoder_cache.json``
+    Each version directory may also carry an ``encoder_cache.npz``
     (written by :meth:`persist_encoder_cache`, e.g. at server shutdown):
     loading that version then warm-starts its line-encoder caches, so a
     restarted server hits on its first batch instead of re-encoding the
-    WHOIS line distribution from scratch.
+    WHOIS line distribution from scratch.  The file is one uncompressed
+    NumPy archive of flat arrays (int32 ids with per-line counts, the
+    indents, the headwords and the line keys as one UTF-8 blob) and
+    reloads without pickle; a cache file of any other name or format,
+    such as the JSON ``encoder_cache.json`` of earlier versions, is
+    ignored like a stale one.
     """
 
     def __init__(
@@ -218,7 +223,7 @@ class ModelRegistry:
     def persist_encoder_cache(self) -> int:
         """Write the active parser's warm line-encoder caches to disk.
 
-        The snapshot lands as ``encoder_cache.json`` inside the active
+        The snapshot lands as ``encoder_cache.npz`` inside the active
         version's directory, fingerprinted against the vocabularies (see
         :meth:`WhoisParser.save_encoder_cache
         <repro.parser.statistical.WhoisParser.save_encoder_cache>`);

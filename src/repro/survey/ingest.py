@@ -23,7 +23,11 @@ With ``shards > 1`` that body runs once per shard:
 3. the coordinator merges the shards into the destination in shard
    order (:meth:`~repro.survey.store.SurveyStore.absorb`: ``ATTACH`` +
    ``INSERT .. SELECT`` for sqlite) and re-accounts quarantined domains
-   into the crawl stats from each shard's quarantine table.
+   into the crawl stats from each shard's quarantine table;
+4. when the coordinator records metrics (``repro.obs``), each worker
+   records into a fresh registry and hands back a plain dump of it
+   beside its shard path, and the coordinator merges the dumps: the
+   counters and histograms read as they would inline.
 
 Workers never ship parsed records back through the pipe -- only shard
 paths -- so the coordinator's memory stays flat no matter the record
@@ -103,16 +107,25 @@ def _init_ingest_worker(parser) -> None:
     _INGEST_PARSER = parser
 
 
-def _ingest_shard(payload) -> str:
+def _ingest_shard(payload) -> tuple[str, dict | None]:
     """Worker body: the inline ingest of one chunk into its own sqlite
-    shard.  Returns the shard's path."""
-    jobs, shard_path, batch_size, gate = payload
-    db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
-    try:
-        _ingest_inline(jobs, _INGEST_PARSER, db, gate=gate, stats=None)
-    finally:
-        db.close()
-    return shard_path
+    shard.  Returns the shard's path and, when the coordinator records
+    metrics (``registry_settings`` is set), a :meth:`dump
+    <repro.obs.MetricsRegistry.dump>` of what this chunk recorded into
+    a fresh registry."""
+    jobs, shard_path, batch_size, gate, registry_settings = payload
+    registry = (
+        obs.MetricsRegistry(**registry_settings)
+        if registry_settings is not None
+        else None
+    )
+    with obs.use(registry):
+        db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
+        try:
+            _ingest_inline(jobs, _INGEST_PARSER, db, gate=gate, stats=None)
+        finally:
+            db.close()
+    return shard_path, registry.dump() if registry is not None else None
 
 
 def _audit_for(job: IngestJob, parsed):
@@ -159,6 +172,12 @@ def sharded_ingest(
     path = getattr(destination, "path", ":memory:")
     shard_root = None if path == ":memory:" else Path(path).parent
     bounds = [len(jobs) * i // shards for i in range(shards + 1)]
+    registry = obs.active()
+    registry_settings = None if registry is None else {
+        "max_series": registry.max_series,
+        "sample_size": registry.sample_size,
+        "bounds": registry.bounds,
+    }
     with (
         obs.trace("survey.sharded_ingest_seconds", shards=str(shards)),
         tempfile.TemporaryDirectory(
@@ -167,20 +186,22 @@ def sharded_ingest(
     ):
         payloads = [
             (jobs[bounds[i]:bounds[i + 1]],
-             str(Path(shard_dir) / f"shard{i}.db"), batch_size, gate)
+             str(Path(shard_dir) / f"shard{i}.db"), batch_size, gate,
+             registry_settings)
             for i in range(shards)
         ]
         with ctx.Pool(
             shards, initializer=_init_ingest_worker, initargs=(parser,)
         ) as pool:
-            shard_paths = pool.map(_ingest_shard, payloads)
-        for shard_path in shard_paths:
+            results = pool.map(_ingest_shard, payloads)
+        for shard_path, metrics in results:
+            if metrics is not None:
+                registry.merge(metrics)
             shard = SqliteStore(shard_path, read_only=True)
             try:
                 destination.absorb(shard)
-                for record in shard.iter_quarantine():
-                    obs.inc("survey.quarantined_rows", reason=record.reason)
-                    if stats is not None:
+                if stats is not None:
+                    for record in shard.iter_quarantine():
                         stats.record_quarantine(record.domain, record.error)
             finally:
                 shard.close()

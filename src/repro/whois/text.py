@@ -67,32 +67,34 @@ def split_title_value(line: str) -> tuple[str, str, str] | None:
     Returns ``None`` when no separator is found, in which case every word on
     the line is treated as a value word (suffix ``@V``).
     """
-    candidates: list[tuple[int, int, str]] = []  # (position, end, kind)
+    pos, end, kind = len(line), 0, None
     tab = line.find("\t")
     if tab != -1:
-        candidates.append((tab, tab + 1, "tab"))
-    dots = _DOT_LEADER.search(line)
-    if dots is not None:
-        candidates.append((dots.start(), dots.end(), "dots"))
-    colon = _find_colon(line)
+        pos, end, kind = tab, tab + 1, "tab"
+    if ".." in line:
+        dots = _DOT_LEADER.search(line, 0, pos)
+        if dots is not None:
+            pos, end, kind = dots.start(), dots.end(), "dots"
+    colon = _find_colon(line, pos)
     if colon is not None:
-        candidates.append((colon, colon + 1, "colon"))
-    if not candidates:
+        pos, end, kind = colon, colon + 1, "colon"
+    if kind is None:
         return None
-    pos, end, _kind = min(candidates)
-    return line[:pos], line[end:], _kind
+    return line[:pos], line[end:], kind
 
 
-def _find_colon(line: str) -> int | None:
-    """Position of the first title-delimiting colon, skipping URL/time colons."""
-    for match in re.finditer(":", line):
-        i = match.start()
-        rest = line[i + 1 :]
-        if rest.startswith("//"):  # http:// inside a value
-            continue
-        if i + 1 < len(line) and line[i + 1].isdigit() and i > 0 and line[i - 1].isdigit():
-            continue  # 12:30:00 timestamps
-        return i
+def _find_colon(line: str, stop: int | None = None) -> int | None:
+    """Position of the first title-delimiting colon, skipping URL/time
+    colons; only colons before ``stop`` (default: anywhere) count."""
+    i = line.find(":", 0, stop)
+    while i != -1:
+        if line.startswith("//", i + 1):
+            pass  # http:// inside a value
+        elif i > 0 and line[i + 1 : i + 2].isdigit() and line[i - 1].isdigit():
+            pass  # 12:30:00 timestamps
+        else:
+            return i
+        i = line.find(":", i + 1, stop)
     return None
 
 
@@ -127,32 +129,48 @@ def word_classes(text: str) -> list[str]:
     """Shape features of the form in eq. (7): the classes of text present.
 
     Class names carry a ``CLS:`` prefix so they can never collide with
-    dictionary words.
+    dictionary words.  A pattern runs only when the text holds what
+    every one of its matches needs (``@`` for e-mail, ``.`` for domain,
+    ``.`` or ``://`` for URL, a digit for the numeric shapes, and also
+    three dots for IPv4 and one of ``-/.`` for dates): a skipped pattern
+    is one that could not have matched.  ``str.isdigit`` is true of
+    every character ``\\d`` matches, so it is a safe test for the digit.
     """
     classes: list[str] = []
-    if _EMAIL.search(text):
+    has_digit = any(map(str.isdigit, text))
+    has_dot = "." in text
+    if "@" in text and _EMAIL.search(text):
         classes.append("CLS:email")
-    if _URL.search(text):
+    if (has_dot or "://" in text) and _URL.search(text):
         classes.append("CLS:url")
-    if _FIVE_DIGIT.search(text):
-        classes.append("CLS:fivedigit")
-    if _DATE.search(text):
-        classes.append("CLS:date")
-    if _IPV4.search(text):
-        classes.append("CLS:ipv4")
-    if _PHONE.search(text):
-        classes.append("CLS:phone")
-    if _DOMAIN.search(text):
+    if has_digit:
+        if _FIVE_DIGIT.search(text):
+            classes.append("CLS:fivedigit")
+        if (has_dot or "-" in text or "/" in text) and _DATE.search(text):
+            classes.append("CLS:date")
+        if has_dot and text.count(".") >= 3 and _IPV4.search(text):
+            classes.append("CLS:ipv4")
+        if _PHONE.search(text):
+            classes.append("CLS:phone")
+    if has_dot and _DOMAIN.search(text):
         classes.append("CLS:domain")
-    if _POSTCODE_ALNUM.search(text):
+    if has_digit and _POSTCODE_ALNUM.search(text):
         classes.append("CLS:postcode")
     if text.strip().strip(".").lower() in _COUNTRY_GAZETTEER:
         classes.append("CLS:country")
-    letters = [ch for ch in text if ch.isalpha()]
-    if letters and all(ch.isupper() for ch in letters):
-        classes.append("CLS:allcaps")
-    if any(ch.isdigit() for ch in text):
+    if text.isascii():
+        # Every ASCII letter is cased: "has a letter, and every letter
+        # is upper case" is exactly str.isupper.
+        if text.isupper():
+            classes.append("CLS:allcaps")
+        has_letter = not has_digit and any(map(str.isalpha, text))
+    else:
+        letters = [ch for ch in text if ch.isalpha()]
+        if letters and all(map(str.isupper, letters)):
+            classes.append("CLS:allcaps")
+        has_letter = bool(letters)
+    if has_digit:
         classes.append("CLS:hasdigit")
-    if not any(ch.isdigit() for ch in text) and letters:
+    elif has_letter:
         classes.append("CLS:alpha")
     return classes

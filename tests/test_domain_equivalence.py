@@ -10,10 +10,16 @@
   at three confidence floors plus each record's mean and tail line
   confidence, over clean and netsim-damaged WHOIS records; verdicts must
   match exactly and confidences to 1e-9, whether the gate scores one
-  record at a time or a whole batch at once.
+  record at a time or a whole batch at once;
+- the encoding fixture holds the bulk line encoder's per-line profiles
+  (attribute ids in order, indentation, headword) over WHOIS and syslog
+  records and its packed char-path encodings over citations records;
+  cold encoders on the current code must reproduce it exactly, since
+  the id order is the summation order of the potentials.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -66,6 +72,16 @@ def test_citations_parse_many_is_bit_identical_to_frozen(fixture_tool):
     _assert_parse_fixture_holds(
         fixture_tool, "citations", fixture_tool.CITATIONS_N_CORPUS
     )
+
+
+def test_line_encodings_are_identical_to_frozen(fixture_tool):
+    frozen = fixture_tool.load_fixture("encoding")
+    rebuilt = json.loads(json.dumps(fixture_tool.build_encoding_outputs()))
+    assert rebuilt.keys() == frozen.keys()
+    for name in frozen:
+        assert len(rebuilt[name]) == len(frozen[name]), name
+        for i, (new, old) in enumerate(zip(rebuilt[name], frozen[name])):
+            assert new == old, f"{name} encoding row {i} diverged: {old[0]!r}"
 
 
 @pytest.fixture(scope="module")

@@ -272,3 +272,22 @@ def test_training_emits_loss_trajectory():
     assert timing is not None and timing.count == iterations
     fit = registry.histogram("train.fit_seconds", level="block")
     assert fit is not None and fit.count == 1
+
+
+def test_registry_dump_merges_like_one_registry():
+    import pickle
+
+    values = [0.0004, 0.003, 0.02, 0.02, 0.7, 4.0, 12.0]
+    whole = obs.MetricsRegistry()
+    parts = [obs.MetricsRegistry(), obs.MetricsRegistry()]
+    for i, value in enumerate(values):
+        for registry in (whole, parts[i % 2]):
+            registry.observe("parse.encode_seconds", value, level="block")
+            registry.inc("survey.rows", blacklisted="false")
+    parts[0].set_gauge("parse.arena_bytes", 1024)
+    merged = obs.MetricsRegistry()
+    for part in parts:
+        merged.merge(pickle.loads(pickle.dumps(part.dump())))
+    assert merged.snapshot()["counters"] == whole.snapshot()["counters"]
+    assert merged.snapshot()["histograms"] == whole.snapshot()["histograms"]
+    assert merged.gauge_value("parse.arena_bytes") is None  # per process

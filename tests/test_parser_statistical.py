@@ -110,6 +110,30 @@ def test_assemble_record_multiline_street():
     assert record.registrant["street"] == "1 Main St, Suite 2"
 
 
+def test_field_memos_stay_bounded_over_fresh_lines():
+    # A long survey meets new lines every round; the per-line memos must
+    # age them out rather than keep every line alive for the process.
+    from repro.parser import fields
+
+    fresh = fields.MEMO_SIZE + 600
+    for i in range(fresh):
+        assemble_record(
+            [
+                f"Domain Name: memo-{i}.com",
+                f"Registrar: Memo Registrar {i}",
+                f"Creation Date: {2000 + i % 20}-{1 + i % 12:02d}-"
+                f"{1 + i % 28:02d}T00:00:{i}Z",
+                f"Registrant Name: Memo Person {i}",
+            ],
+            ["domain", "registrar", "date", "registrant"],
+            ["name"],
+        )
+    for memo in (fields.value_of, fields.title_of, fields.parse_whois_date):
+        info = memo.cache_info()
+        assert info.maxsize == fields.MEMO_SIZE
+        assert info.currsize <= fields.MEMO_SIZE
+
+
 def test_assemble_record_length_mismatch():
     with pytest.raises(ValueError):
         assemble_record(["a"], ["domain", "domain"])

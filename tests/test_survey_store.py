@@ -358,3 +358,50 @@ def test_error_payload_roundtrip():
     assert revived.code == "garbled_record"
     assert revived.server == "whois.enom.com"
     assert revived.attempts == 3
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_sharded_ingest_reports_its_workers_metrics(
+    tmp_path, tiny_world, start_method
+):
+    import multiprocessing
+
+    from repro import obs
+    from repro.resilience import RecordGate
+
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method here")
+    parser, jobs = tiny_world
+    poisoned = list(jobs) + [
+        IngestJob(domain="garbled.com", text="\x00\x01\x02"),
+        IngestJob(domain="empty.com", text="   "),
+    ]
+    survey_counters = (
+        "survey.rows", "survey.private_rows",
+        "survey.unknown_country_rows", "survey.quarantined_rows",
+    )
+    seen = {}
+    for shards in (1, 2):
+        registry = obs.MetricsRegistry()
+        with obs.use(registry):
+            db = sharded_ingest(
+                poisoned, parser,
+                store=SqliteStore(tmp_path / f"m{shards}.db", fresh=True),
+                shards=shards, gate=RecordGate(), start_method=start_method,
+            )
+            db.close()
+        totals = {
+            name: sum(registry.counter_series(name).values())
+            for name in survey_counters
+        }
+        # Each worker has its own line cache, so hits and misses split
+        # differently across shards; the lines looked up do not.
+        for level in ("block", "registrant"):
+            totals[f"parse.line_cache.{level}"] = registry.counter_value(
+                "parse.line_cache.hits", level=level
+            ) + registry.counter_value("parse.line_cache.misses", level=level)
+        seen[shards] = totals
+    assert seen[1] == seen[2]
+    assert seen[2]["survey.rows"] == len(jobs)
+    assert seen[2]["survey.quarantined_rows"] == 2
+    assert seen[2]["parse.line_cache.block"] > 0

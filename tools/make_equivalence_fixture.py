@@ -16,10 +16,16 @@ same pipeline run on the current code:
   verdicts at three confidence floors, with each record's mean and tail
   line confidence, over a seeded mix of clean WHOIS records and records
   damaged the way the simulated internet damages them (truncated
-  mid-stream, garbled with mojibake).
+  mid-stream, garbled with mojibake);
+- ``encoding_equivalence.json.gz``: what the bulk
+  :class:`~repro.parser.bulk.LineEncoder` makes of each distinct line
+  of the first WHOIS and syslog fixture records (block- and
+  registrant-level attribute ids in their order, indentation and
+  headword), and the packed first-level encoding of the first citations
+  records (the char path).
 
-The parse fixtures must be reproduced byte for byte; the gate fixture's
-verdicts exactly and its confidences to 1e-9.
+The parse and encoding fixtures must be reproduced byte for byte; the
+gate fixture's verdicts exactly and its confidences to 1e-9.
 
 Usage::
 
@@ -66,24 +72,29 @@ GATE_N_RECORDS = 150
 GATE_DAMAGE = (("truncate", 0.3), ("garble", 0.2))
 GATE_FLOORS = (0.5, 0.8, 0.9)
 
+#: leading records of each parse fixture's corpus whose encodings are
+#: frozen (a subset keeps the fixture small)
+ENCODING_N_WHOIS = 120
+ENCODING_N_SYSLOG = 120
+ENCODING_N_CITATIONS = 40
+
 
 def _parsed_rows(parsed) -> list[dict]:
     return [{**record.to_jsonable(), "blocks": record.blocks} for record in parsed]
 
 
-def build_outputs() -> list[dict]:
-    """Train on the pinned WHOIS corpus and parse the fixed 500 records."""
+def whois_world():
+    """The WHOIS fixture's fitted parser and its 500-record corpus."""
     from repro.datagen import CorpusConfig, CorpusGenerator
     from repro.parser import WhoisParser
 
     train = CorpusGenerator(CorpusConfig(seed=TRAIN_SEED)).labeled_corpus(N_TRAIN)
     corpus = CorpusGenerator(CorpusConfig(seed=CORPUS_SEED)).labeled_corpus(N_CORPUS)
-    parser = WhoisParser(l2=L2).fit(train)
-    return _parsed_rows(parser.parse_many([record.text for record in corpus]))
+    return WhoisParser(l2=L2).fit(train), corpus
 
 
-def build_syslog_outputs() -> list[dict]:
-    """The syslog domain's pinned train-then-``parse_many`` run."""
+def syslog_world():
+    """The syslog fixture's fitted parser and its corpus."""
     from repro.domain import get_domain
     from repro.parser import WhoisParser
 
@@ -92,12 +103,11 @@ def build_syslog_outputs() -> list[dict]:
     corpus = spec.generator(seed=SYSLOG_CORPUS_SEED).labeled_corpus(
         SYSLOG_N_CORPUS
     )
-    parser = WhoisParser(domain="syslog", l2=L2).fit(train)
-    return _parsed_rows(parser.parse_many([record.text for record in corpus]))
+    return WhoisParser(domain="syslog", l2=L2).fit(train), corpus
 
 
-def build_citations_outputs() -> list[dict]:
-    """The citations plug-in's pinned train-then-``parse_many`` run."""
+def citations_world():
+    """The citations fixture's fitted parser and its corpus."""
     plugin_root = str(REPO_ROOT / "examples" / "citations")
     if plugin_root not in sys.path:
         sys.path.insert(0, plugin_root)
@@ -111,8 +121,73 @@ def build_citations_outputs() -> list[dict]:
     corpus = CitationGenerator(
         CitationConfig(seed=CITATIONS_CORPUS_SEED)
     ).labeled_corpus(CITATIONS_N_CORPUS)
-    parser = WhoisParser(domain="citations", l2=L2).fit(train)
+    return WhoisParser(domain="citations", l2=L2).fit(train), corpus
+
+
+def _parse_outputs(world) -> list[dict]:
+    parser, corpus = world()
     return _parsed_rows(parser.parse_many([record.text for record in corpus]))
+
+
+def build_outputs() -> list[dict]:
+    """Train on the pinned WHOIS corpus and parse the fixed 500 records."""
+    return _parse_outputs(whois_world)
+
+
+def build_syslog_outputs() -> list[dict]:
+    """The syslog domain's pinned train-then-``parse_many`` run."""
+    return _parse_outputs(syslog_world)
+
+
+def build_citations_outputs() -> list[dict]:
+    """The citations plug-in's pinned train-then-``parse_many`` run."""
+    return _parse_outputs(citations_world)
+
+
+def _line_profile_rows(parser, texts) -> list[list]:
+    """One row per distinct labelable line, in first-seen order:
+    ``[line, block obs ids, block edge ids, indent, headword,
+    registrant obs ids, registrant edge ids]`` from cold encoders."""
+    from repro.whois.records import is_labelable
+
+    block, registrant = parser._encoders()
+    seen: set[str] = set()
+    rows = []
+    for text in texts:
+        for line in parser._raw_lines(text):
+            if line in seen or not is_labelable(line):
+                continue
+            seen.add(line)
+            obs, edge, indent, headword = block._line_profile(line)
+            row = [line, list(obs), list(edge), indent, headword]
+            if registrant is not None:
+                sub_obs, sub_edge, _indent, _head = registrant._line_profile(line)
+                row += [list(sub_obs), list(sub_edge)]
+            rows.append(row)
+    return rows
+
+
+def build_encoding_outputs() -> dict:
+    """Line profiles (WHOIS, syslog) and packed char encodings
+    (citations) of each parse fixture's leading records."""
+    outputs: dict = {}
+    for name, world, n in (
+        ("whois", whois_world, ENCODING_N_WHOIS),
+        ("syslog", syslog_world, ENCODING_N_SYSLOG),
+    ):
+        parser, corpus = world()
+        outputs[name] = _line_profile_rows(
+            parser, [record.text for record in corpus[:n]]
+        )
+    parser, corpus = citations_world()
+    block, _registrant = parser._encoders()
+    rows = []
+    for record in corpus[:ENCODING_N_CITATIONS]:
+        encoded = block.encode_record(parser._raw_lines(record.text))
+        flat, counts = encoded.packed_obs()
+        rows.append([flat.tolist(), counts.tolist(), encoded.edge_ids])
+    outputs["citations"] = rows
+    return outputs
 
 
 def gate_world():
@@ -204,6 +279,7 @@ FIXTURES = {
     "syslog": (build_syslog_outputs, "syslog_equivalence.json.gz"),
     "citations": (build_citations_outputs, "citations_equivalence.json.gz"),
     "gate": (build_gate_outputs, "gate_equivalence.json.gz"),
+    "encoding": (build_encoding_outputs, "encoding_equivalence.json.gz"),
 }
 
 
@@ -212,7 +288,7 @@ def fixture_path(name: str) -> Path:
     return DATA / FIXTURES[name][1]
 
 
-def load_fixture(name: str) -> list[dict]:
+def load_fixture(name: str):
     """The committed rows of fixture ``name``."""
     return json.loads(gzip.decompress(fixture_path(name).read_bytes()))
 
