@@ -98,14 +98,14 @@ def test_featurizer_marks_oov_words():
     lexicon.add_text("registrant name john")
     lexicon.freeze()
     fzr = WhoisFeaturizer(lexicon=lexicon)
-    obs, _ = fzr.line_attributes("Registrant Name: John")
+    obs, *_ = fzr.line_analysis("Registrant Name: John")
     assert "UNK@T" not in obs and "UNK@V" not in obs
-    obs, _ = fzr.line_attributes("Registrant Zorblax: Qwxyz")
+    obs, *_ = fzr.line_analysis("Registrant Zorblax: Qwxyz")
     assert "UNK@T" in obs and "UNK@V" in obs
 
 
 def test_featurizer_without_lexicon_has_no_unk():
-    obs, _ = WhoisFeaturizer().line_attributes("Xyzzy: Plugh")
+    obs, *_ = WhoisFeaturizer().line_analysis("Xyzzy: Plugh")
     assert not any(a.startswith("UNK") for a in obs)
 
 

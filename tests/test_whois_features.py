@@ -11,7 +11,7 @@ FZR = WhoisFeaturizer()
 
 
 def test_title_value_word_tagging():
-    obs, _ = FZR.line_attributes("Registrant Name: John Smith")
+    obs, *_ = FZR.line_analysis("Registrant Name: John Smith")
     assert "registrant@T" in obs
     assert "name@T" in obs
     assert "john@V" in obs
@@ -21,7 +21,7 @@ def test_title_value_word_tagging():
 
 
 def test_no_separator_all_value_words():
-    obs, _ = FZR.line_attributes("John Smith")
+    obs, *_ = FZR.line_analysis("John Smith")
     assert "john@V" in obs
     assert "smith@V" in obs
     assert all(not a.endswith("@T") for a in obs)
@@ -29,30 +29,30 @@ def test_no_separator_all_value_words():
 
 
 def test_header_line_gets_emptyval():
-    obs, _ = FZR.line_attributes("Registrant:")
+    obs, *_ = FZR.line_analysis("Registrant:")
     assert "registrant@T" in obs
     assert "EMPTYVAL" in obs
 
 
 def test_edge_attrs_include_title_words_and_sep():
-    _, edge = FZR.line_attributes("Created on: 1997-01-01")
+    _, edge, *_ = FZR.line_analysis("Created on: 1997-01-01")
     assert "created@T" in edge
     assert "SEP" in edge
 
 
 def test_edge_attrs_for_bare_header():
-    _, edge = FZR.line_attributes("Administrative Contact")
+    _, edge, *_ = FZR.line_analysis("Administrative Contact")
     assert "administrative@V" in edge
 
 
 def test_symbol_start_marker():
-    obs, edge = FZR.line_attributes("% NOTICE: terms of use")
+    obs, edge, *_ = FZR.line_analysis("% NOTICE: terms of use")
     assert "SYM" in obs
     assert "SYM" in edge
 
 
 def test_word_class_attrs_on_value():
-    obs, _ = FZR.line_attributes("Registrant Postal Code: 92093")
+    obs, *_ = FZR.line_analysis("Registrant Postal Code: 92093")
     assert "CLS:fivedigit" in obs
 
 
@@ -92,7 +92,7 @@ def test_bias_attribute_always_present():
 
 def test_tv_tagging_ablation():
     fzr = WhoisFeaturizer(FeaturizerConfig(tv_tagging=False))
-    obs, _ = fzr.line_attributes("Registrant Name: John")
+    obs, *_ = fzr.line_analysis("Registrant Name: John")
     assert "registrant@V" in obs
     assert all(not a.endswith("@T") for a in obs)
 
@@ -105,7 +105,7 @@ def test_markers_ablation():
 
 def test_classes_ablation():
     fzr = WhoisFeaturizer(FeaturizerConfig(classes=False))
-    obs, _ = fzr.line_attributes("Postal Code: 92093")
+    obs, *_ = fzr.line_analysis("Postal Code: 92093")
     assert not any(a.startswith("CLS:") for a in obs)
 
 
@@ -118,7 +118,7 @@ def test_edge_markers_ablation():
 
 def test_edge_words_ablation():
     fzr = WhoisFeaturizer(FeaturizerConfig(edge_words=False))
-    _, edge = fzr.line_attributes("Created on: 1997")
+    _, edge, *_ = fzr.line_analysis("Created on: 1997")
     assert "created@T" not in edge
 
 
