@@ -238,67 +238,35 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     """Cross-protocol consistency audit: WHOIS parse vs RDAP object."""
-    from repro.consistency import LiveAuditFetcher, run_audit
-    from repro.survey.ingest import IngestJob, jobs_from_results
+    from repro.consistency import run_audit
+    from repro.netsim.rdap import DisagreementKnob, DisagreementPlan, RdapFace
+    from repro.survey.ingest import jobs_from_results
     from repro.survey.report import format_inconsistency_table
     from repro.survey.store import open_store
 
     if args.store == "sqlite" and not args.db:
         print("error: --store sqlite requires --db PATH", file=sys.stderr)
         return 2
-    if args.live and not args.live_domains:
-        print("error: --live needs explicit domain arguments",
-              file=sys.stderr)
-        return 2
     parser = WhoisParser.load(args.model, mmap=args.mmap)
-    if args.live:
-        # The gated path: real port-43 + RDAP, one domain at a time,
-        # behind the retry/breaker policies.
-        from repro import errors
-
-        fetcher = LiveAuditFetcher(enabled=True, timeout=args.timeout)
-        jobs = []
-        payloads: dict[str, dict | None] = {}
-        for domain in args.live_domains:
-            try:
-                text = fetcher.fetch_whois(domain)
-                payloads[domain] = fetcher.fetch_rdap(domain)
-            except errors.ReproError as exc:
-                print(f"skipping {domain}: [{exc.code}] {exc}",
-                      file=sys.stderr)
-                continue
-            if text:
-                jobs.append(IngestJob(domain=domain, text=text))
-        lookup = payloads.get
-    else:
-        # The simulated internet serves both protocol faces of one
-        # ground-truth zone; --disagree injects known RDAP-side
-        # perturbations so recovered rates have an exact oracle.
-        from repro.netsim.crawler import WhoisCrawler as Crawler
-        from repro.netsim.rdap import (
-            DisagreementKnob,
-            DisagreementPlan,
-            RdapFace,
+    # The simulated internet serves both protocol faces of one
+    # ground-truth zone; --disagree injects known RDAP-side
+    # perturbations so recovered rates have an exact oracle.
+    generator = CorpusGenerator(CorpusConfig(seed=args.seed))
+    zone, registrations = generator.zone(args.domains)
+    internet, clock, _truth = build_com_internet(
+        generator, zone, registrations
+    )
+    results = WhoisCrawler(internet).crawl(zone)
+    jobs = jobs_from_results(results)
+    knobs = {}
+    if args.disagree > 0.0:
+        knob = DisagreementKnob(
+            rate=args.disagree,
+            fields=tuple(args.disagree_fields.split(",")),
         )
-
-        generator = CorpusGenerator(CorpusConfig(seed=args.seed))
-        zone, registrations = generator.zone(args.domains)
-        internet, clock, _truth = build_com_internet(
-            generator, zone, registrations
-        )
-        crawler = Crawler(internet)
-        results = crawler.crawl(zone)
-        jobs = jobs_from_results(results)
-        knobs = {}
-        if args.disagree > 0.0:
-            knob = DisagreementKnob(
-                rate=args.disagree,
-                fields=tuple(args.disagree_fields.split(",")),
-            )
-            knobs[args.disagree_registrar or "*"] = knob
-        plan = DisagreementPlan(knobs, seed=args.plan_seed)
-        face = RdapFace(registrations, plan=plan, clock=clock)
-        lookup = face.lookup
+        knobs[args.disagree_registrar or "*"] = knob
+    plan = DisagreementPlan(knobs, seed=args.plan_seed)
+    lookup = RdapFace(registrations, plan=plan, clock=clock).lookup
     store = open_store(args.store, args.db, fresh=True)
     db, summary = run_audit(
         jobs, parser, rdap_lookup=lookup, store=store, shards=args.shards
@@ -484,19 +452,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_rdap(args: argparse.Namespace) -> int:
-    from repro.rdap.server import DomainNotFound, RdapGateway
+    from repro.errors import ReproError
+    from repro.rdap.server import RdapGateway
 
     parser = WhoisParser.load(args.model)
     records = _load_crawl_records(args.crawl)
     gateway = RdapGateway(parser, records.get, cache_size=args.cache_size)
     status = 0
     bodies = []
-    for domain in args.domains:
-        try:
-            bodies.append(gateway.lookup(domain))
-        except DomainNotFound as exc:
-            bodies.append(json.loads(gateway.error_json(domain, exc=exc)))
+    # One parse covers every domain; a failed one prints its error body.
+    for domain, result in zip(
+        args.domains, gateway.try_lookup_many(args.domains)
+    ):
+        if isinstance(result, ReproError):
+            result = json.loads(gateway.error_json(domain, exc=result))
             status = 1
+        bodies.append(result)
     print(json.dumps(bodies[0] if len(bodies) == 1 else bodies, indent=2))
     return status
 
@@ -837,16 +808,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "audit", help="cross-protocol WHOIS/RDAP consistency audit"
     )
     audit.add_argument("model", help="model directory")
-    audit.add_argument("live_domains", nargs="*", metavar="domain",
-                       help="with --live: domains to audit against the "
-                            "real internet (ignored otherwise)")
     audit.add_argument("--domains", type=int, default=300,
-                       help="simulated zone size (netsim mode)")
+                       help="simulated zone size")
     audit.add_argument("--seed", type=int, default=0,
-                       help="corpus/zone seed (netsim mode)")
+                       help="corpus/zone seed")
     audit.add_argument("--disagree", type=float, default=0.0,
                        help="inject RDAP-side disagreements at this rate "
-                            "(netsim mode; per-domain, seeded)")
+                            "(per-domain, seeded)")
     audit.add_argument("--disagree-fields", default="dates,nameservers",
                        metavar="CSV",
                        help="field groups the injection perturbs: "
@@ -870,12 +838,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="show only the N most inconsistent registrars")
     audit.add_argument("--mmap", action="store_true",
                        help="memory-map model weights read-only")
-    audit.add_argument("--live", action="store_true",
-                       help="audit the real internet instead of netsim "
-                            "(gated off by default; requires explicit "
-                            "domain arguments)")
-    audit.add_argument("--timeout", type=float, default=10.0,
-                       help="with --live: per-query network timeout")
     add_metrics_out(audit)
     audit.set_defaults(func=_cmd_audit)
 

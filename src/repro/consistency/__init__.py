@@ -11,9 +11,7 @@ audit, survey-scale:
   under a policy lenient to WHOIS's omissions and truncations;
 - :mod:`repro.consistency.audit` runs the diff over a whole crawl on
   the survey's sharded-ingest machinery, persisting per-domain verdicts
-  in the :class:`~repro.survey.store.SurveyStore` audit tables;
-- :mod:`repro.consistency.live` is the gated-off adapter that points
-  the same auditor at present-day port-43/RDAP servers.
+  in the :class:`~repro.survey.store.SurveyStore` audit tables.
 
 Systematic per-registrar disagreement feeds
 :class:`~repro.pipeline.drift.RegistrarDisagreementSignal`: a registrar
@@ -36,14 +34,12 @@ from repro.consistency.compare import (
     comparable_from_rdap,
 )
 from repro.consistency.diff import FieldDiff, RecordDiff, diff_records
-from repro.consistency.live import LiveAuditFetcher
 
 __all__ = [
     "AuditRecord",
     "AuditSummary",
     "ComparableRecord",
     "FieldDiff",
-    "LiveAuditFetcher",
     "RecordDiff",
     "attach_rdap",
     "audit_parsed",

@@ -94,8 +94,8 @@ def attach_rdap(
     """Pair ingest jobs with their RDAP payloads.
 
     ``lookup`` is any domain -> payload function -- a netsim
-    :class:`~repro.netsim.rdap.RdapFace`'s ``lookup``, a dict's ``get``
-    over saved responses, or the live fetcher.  Returns the audit-ready
+    :class:`~repro.netsim.rdap.RdapFace`'s ``lookup`` or a dict's
+    ``get`` over saved responses.  Returns the audit-ready
     jobs plus the domains whose RDAP side was missing (those jobs pass
     through un-audited: the survey still ingests them, the audit tables
     skip them).

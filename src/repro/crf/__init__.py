@@ -4,8 +4,8 @@ This package implements the probabilistic model of Section 3.1 and the
 appendix of *Who is .com? Learning to Parse WHOIS Records* (IMC 2015):
 log-space forward-backward for the normalization factor and marginals
 (eqs. 9-12), Viterbi decoding (eqs. 13-17), the convex log-likelihood
-objective (eq. 11) with its exact gradient, and both batch (L-BFGS) and
-stochastic (AdaGrad SGD) parameter estimation.  Every recursion runs
+objective (eq. 11) with its exact gradient, and L-BFGS parameter
+estimation.  Every recursion runs
 batched over padded sequences (:mod:`repro.crf.batch`,
 :mod:`repro.crf.decode`); a single sequence is a batch of one.
 
@@ -21,7 +21,7 @@ from repro.crf.analysis import ModelSummary, model_summary, prune, top_weight_sh
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.model import ChainCRF
-from repro.crf.train import LBFGSTrainer, SGDTrainer, TrainLog, TrainerState
+from repro.crf.train import LBFGSTrainer, TrainLog, TrainerState
 
 __all__ = [
     "ChainCRF",
@@ -37,7 +37,6 @@ __all__ = [
     "EncodedSequence",
     "FeatureIndex",
     "LBFGSTrainer",
-    "SGDTrainer",
     "Sequence",
     "TrainLog",
     "TrainerState",

@@ -15,7 +15,7 @@ from repro.crf.batch import EncodedBatch, batch_forward_backward
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
 from repro.crf.objective import ParamView
-from repro.crf.train import LBFGSTrainer, SGDTrainer, TrainLog, TrainerState
+from repro.crf.train import LBFGSTrainer, TrainLog, TrainerState
 
 
 def _as_sequence(seq: Sequence | list[list[str]]) -> Sequence:
@@ -37,8 +37,8 @@ class ChainCRF:
         training corpus are trimmed from the dictionary, as in Section 3.3.
     l2:
         L2 regularization strength.
-    trainer:
-        ``"lbfgs"`` (default, the paper's batch optimizer) or ``"sgd"``.
+    max_iterations:
+        Iteration budget of the L-BFGS fit (the paper's optimizer).
 
     Examples
     --------
@@ -56,22 +56,14 @@ class ChainCRF:
         min_count: int = 1,
         min_edge_count: int = 1,
         l2: float = 1.0,
-        trainer: str = "lbfgs",
         max_iterations: int = 200,
-        sgd_epochs: int = 10,
-        seed: int = 0,
     ) -> None:
         """Unfitted CRF over ``labels`` with training hyperparameters."""
-        if trainer not in ("lbfgs", "sgd"):
-            raise ValueError(f"unknown trainer {trainer!r}")
         self._labels = tuple(labels)
         self._min_count = min_count
         self._min_edge_count = min_edge_count
         self._l2 = l2
-        self._trainer_name = trainer
         self._max_iterations = max_iterations
-        self._sgd_epochs = sgd_epochs
-        self._seed = seed
         self.index: FeatureIndex | None = None
         self.params: np.ndarray | None = None
         self.train_log: TrainLog | None = None
@@ -89,11 +81,6 @@ class ChainCRF:
     def is_fitted(self) -> bool:
         """True once :meth:`fit` (or a load) has set parameters."""
         return self.params is not None
-
-    def _make_trainer(self) -> LBFGSTrainer | SGDTrainer:
-        if self._trainer_name == "lbfgs":
-            return LBFGSTrainer(l2=self._l2, max_iterations=self._max_iterations)
-        return SGDTrainer(l2=self._l2, epochs=self._sgd_epochs, seed=self._seed)
 
     def fit(
         self,
@@ -130,7 +117,9 @@ class ChainCRF:
             (self.index.encode(seq), self.index.encode_labels(lab))
             for seq, lab in zip(seqs, labels)
         ]
-        self.params, self.train_log = self._make_trainer().fit(
+        self.params, self.train_log = LBFGSTrainer(
+            l2=self._l2, max_iterations=self._max_iterations
+        ).fit(
             dataset,
             self.index,
             resume=resume,
@@ -199,7 +188,9 @@ class ChainCRF:
             (old_index.encode(seq), old_index.encode_labels(list(lab)))
             for seq, lab in pairs
         ]
-        self.params, self.train_log = self._make_trainer().fit(
+        self.params, self.train_log = LBFGSTrainer(
+            l2=self._l2, max_iterations=self._max_iterations
+        ).fit(
             dataset,
             old_index,
             initial=None if resume is not None else new_params,
@@ -403,7 +394,6 @@ class ChainCRF:
             "min_count": self._min_count,
             "min_edge_count": self._min_edge_count,
             "l2": self._l2,
-            "trainer": self._trainer_name,
             "index": self.index.to_dict(),
         }
         path.with_suffix(".json").write_text(json.dumps(meta))
@@ -423,7 +413,8 @@ class ChainCRF:
         array bytes.  Snapshots predating the raw format are adopted by
         materializing ``<path>.npy`` next to the ``.npz`` on first mmap
         load; if the directory is not writable the load silently falls
-        back to the in-memory path.
+        back to the in-memory path.  The ``"trainer"`` key of snapshots
+        written when a second trainer existed is ignored.
         """
         path = Path(path)
         meta = json.loads(path.with_suffix(".json").read_text())
@@ -432,7 +423,6 @@ class ChainCRF:
             min_count=meta["min_count"],
             min_edge_count=meta["min_edge_count"],
             l2=meta["l2"],
-            trainer=meta["trainer"],
         )
         model.index = FeatureIndex.from_dict(meta["index"])
         if mmap:

@@ -1,15 +1,11 @@
 """Parameter estimation for the CRF.
 
 The paper estimates parameters with limited-memory BFGS (citing Nocedal &
-Wright) and mentions a specialized stochastic-gradient pipeline.  We provide
-both:
+Wright): :class:`LBFGSTrainer` wraps
+``scipy.optimize.minimize(method="L-BFGS-B")`` over the exact batch
+objective.
 
-- :class:`LBFGSTrainer` wraps ``scipy.optimize.minimize(method="L-BFGS-B")``
-  over the exact batch objective; and
-- :class:`SGDTrainer` implements minibatch stochastic gradient descent with
-  AdaGrad step sizes, useful when the corpus is large.
-
-Both trainers support the Section 5.3 maintenance workflow through two
+The trainer supports the Section 5.3 maintenance workflow through two
 mechanisms:
 
 - **warm starts** -- ``initial=`` (or a :class:`TrainerState` via
@@ -18,13 +14,12 @@ mechanisms:
   fraction of the evaluations a cold start needs; and
 - **checkpoint/resume** -- ``checkpoint_every=`` / ``on_checkpoint=``
   snapshot a :class:`TrainerState` mid-run, and ``resume=`` continues an
-  interrupted run from the snapshot (exactly, for SGD; from the saved
-  parameters with a fresh curvature history, for L-BFGS).
+  interrupted run from the snapshot's parameters with a fresh curvature
+  history.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -43,54 +38,49 @@ class TrainerState:
     """A resumable optimizer snapshot.
 
     ``params`` is the parameter vector at snapshot time;
-    ``iterations_done`` counts completed optimizer iterations (L-BFGS)
-    or epochs (SGD); ``accumulated_sq`` carries the AdaGrad accumulator
-    so an SGD resume continues with the same effective step sizes.
+    ``iterations_done`` counts completed optimizer iterations.
     """
 
     params: np.ndarray
     iterations_done: int = 0
-    accumulated_sq: "np.ndarray | None" = None
 
     def save(self, path: "str | Path") -> Path:
         """Persist the snapshot as one ``.npz`` file; returns the path."""
         path = Path(path)
-        arrays = {
-            "params": self.params,
-            "iterations_done": np.asarray(self.iterations_done),
-        }
-        if self.accumulated_sq is not None:
-            arrays["accumulated_sq"] = self.accumulated_sq
-        np.savez_compressed(path, **arrays)
+        np.savez_compressed(
+            path,
+            params=self.params,
+            iterations_done=np.asarray(self.iterations_done),
+        )
         return path if path.suffix == ".npz" else path.with_suffix(".npz")
 
     @classmethod
     def load(cls, path: "str | Path") -> "TrainerState":
-        """Restore a checkpointed optimizer state (see :meth:`save`)."""
+        """Restore a checkpointed optimizer state (see :meth:`save`).
+
+        Arrays other than these two are ignored, so checkpoints that
+        still carry an ``accumulated_sq`` (written when an AdaGrad
+        trainer existed) load too.
+        """
         with np.load(path) as data:
             return cls(
                 params=data["params"],
                 iterations_done=int(data["iterations_done"]),
-                accumulated_sq=(
-                    data["accumulated_sq"]
-                    if "accumulated_sq" in data
-                    else None
-                ),
             )
 
 
-#: Signature of the ``on_checkpoint`` hook both trainers accept.
+#: Signature of the trainer's ``on_checkpoint`` hook.
 CheckpointHook = Callable[[TrainerState], None]
 
 
 @dataclass
 class TrainLog:
-    """Objective values observed during training (one per evaluation/epoch)."""
+    """Objective values observed during training (one per evaluation)."""
 
     objective_values: list[float] = field(default_factory=list)
     n_iterations: int = 0
     converged: bool = False
-    #: final optimizer snapshot, resumable via the trainers' ``resume=``
+    #: final optimizer snapshot, resumable via the trainer's ``resume=``
     final_state: "TrainerState | None" = None
 
     def record(self, value: float) -> None:
@@ -203,116 +193,3 @@ class LBFGSTrainer:
             iterations_done=completed[0],
         )
         return result.x, log
-
-
-class SGDTrainer:
-    """Minibatch stochastic gradient descent with AdaGrad step sizes."""
-
-    def __init__(
-        self,
-        *,
-        l2: float = 1.0,
-        epochs: int = 10,
-        batch_size: int = 8,
-        learning_rate: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        """SGD trainer; ``seed`` fixes the minibatch shuffle order."""
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.l2 = l2
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.seed = seed
-
-    def fit(
-        self,
-        dataset: list[tuple[EncodedSequence, list[int]]],
-        index: FeatureIndex,
-        *,
-        initial: np.ndarray | None = None,
-        resume: TrainerState | None = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: CheckpointHook | None = None,
-    ) -> tuple[np.ndarray, TrainLog]:
-        """Run (the remaining) AdaGrad epochs; returns ``(params, log)``.
-
-        ``resume`` continues an interrupted run *exactly*: parameters,
-        the AdaGrad accumulator, and the shuffle stream all pick up
-        where the checkpoint left off, so interrupt-then-resume produces
-        the same model as an uninterrupted run over the same dataset.
-        With ``checkpoint_every > 0``, ``on_checkpoint`` receives a
-        :class:`TrainerState` every that many completed epochs.
-        """
-        if not dataset:
-            raise ValueError("cannot train on an empty dataset")
-        if resume is not None and initial is not None:
-            raise ValueError("pass initial= or resume=, not both")
-        rng = random.Random(self.seed)
-        order = list(range(len(dataset)))
-        epochs_done = 0
-        if resume is not None:
-            epochs_done = resume.iterations_done
-            initial = resume.params
-            # Replay the shuffle stream so epoch e sees the same order it
-            # would have seen in an uninterrupted run.
-            for _ in range(epochs_done):
-                rng.shuffle(order)
-        params = (
-            np.zeros(index.n_features) if initial is None else initial.astype(float)
-        )
-        if resume is not None and resume.accumulated_sq is not None:
-            accumulated_sq = resume.accumulated_sq.astype(float).copy()
-        else:
-            accumulated_sq = np.full(index.n_features, 1e-8)
-        log = TrainLog()
-        n = len(dataset)
-        batch = EncodedBatch(dataset, index)
-        for epoch in range(epochs_done, self.epochs):
-            epoch_started = perf_counter()
-            rng.shuffle(order)
-            epoch_nll = 0.0
-            for batch_start in range(0, n, self.batch_size):
-                rows = order[batch_start : batch_start + self.batch_size]
-                nll, grad = batch_nll_grad(
-                    params, batch.subset(rows), index, 0.0
-                )
-                epoch_nll += nll
-                # Scale the L2 term so a full epoch applies it exactly once.
-                if self.l2 > 0.0:
-                    grad += (self.l2 * len(rows) / n) * params
-                accumulated_sq += grad * grad
-                params -= self.learning_rate * grad / np.sqrt(accumulated_sq)
-            if self.l2 > 0.0:
-                epoch_nll += 0.5 * self.l2 * float(params @ params)
-            log.record(epoch_nll)
-            if obs.active() is not None:
-                obs.inc("train.iterations", trainer="sgd")
-                obs.set_gauge("train.loss", epoch_nll, trainer="sgd")
-                obs.observe(
-                    "train.iteration_seconds",
-                    perf_counter() - epoch_started,
-                    trainer="sgd",
-                )
-            if (
-                checkpoint_every > 0
-                and on_checkpoint is not None
-                and (epoch + 1) % checkpoint_every == 0
-            ):
-                on_checkpoint(
-                    TrainerState(
-                        params=params.copy(),
-                        iterations_done=epoch + 1,
-                        accumulated_sq=accumulated_sq.copy(),
-                    )
-                )
-        log.converged = True
-        log.final_state = TrainerState(
-            params=params.copy(),
-            iterations_done=self.epochs,
-            accumulated_sq=accumulated_sq.copy(),
-        )
-        return params, log

@@ -109,19 +109,6 @@ class DomainSpec:
         """
         return self.featurizer_config.granularity
 
-    def segment_text(self, text: str) -> list[str]:
-        """Split raw record text into this domain's units.
-
-        Lines for line-granularity domains; normalized characters
-        (:func:`repro.whois.records.segment_chars`) for char-granularity
-        ones.
-        """
-        if self.granularity == "char":
-            from repro.whois.records import segment_chars
-
-            return segment_chars(text)
-        return text.splitlines()
-
     def fingerprint_text(self, text: str) -> frozenset:
         """The drift-detection format fingerprint of one record.
 

@@ -26,7 +26,7 @@ class Parser(Protocol):
         """One record (raw text or record object) -> structured fields."""
         ...
 
-    def parse_many(self, records, *, jobs: int = 1) -> list[ParsedRecord]:
+    def parse_many(self, records) -> list[ParsedRecord]:
         """Bulk :meth:`parse`, one output per input, in order."""
         ...
 
@@ -36,14 +36,13 @@ class ParserBase:
 
     Subclasses with a genuinely batched pipeline (the statistical parser)
     override this; for the baselines the loop *is* the honest
-    implementation, and ``jobs`` is accepted for signature compatibility
-    but ignored -- there is no per-record state worth sharding.
+    implementation.
     """
 
     def parse(self, record) -> ParsedRecord:
         """One record -> structured fields; subclasses must implement."""
         raise NotImplementedError
 
-    def parse_many(self, records: Sequence, *, jobs: int = 1) -> list[ParsedRecord]:
-        """Bulk :meth:`parse` as a plain loop; ``jobs`` is ignored here."""
+    def parse_many(self, records: Sequence) -> list[ParsedRecord]:
+        """Bulk :meth:`parse` as a plain loop."""
         return [self.parse(record) for record in records]

@@ -258,7 +258,7 @@ class LineEncoder:
         """Encode one record's labelable lines, mirroring
         :meth:`WhoisFeaturizer.featurize_lines` attribute for attribute.
         Second-level segments (runs of labelable lines) encode the same
-        way, as :meth:`WhoisFeaturizer.featurize_registrant_lines` does.
+        way.
 
         Intrinsic ids come from the cache; the context-dependent layout
         and header attributes -- disjoint from every intrinsic attribute

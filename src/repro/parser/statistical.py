@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence as TypingSequence
 
@@ -27,6 +28,7 @@ from repro import errors, obs
 from repro.crf.features import Sequence
 from repro.crf.model import ChainCRF
 from repro.domain import DomainSpec, get_domain, sub_segments
+from repro.parallel import map_chunks
 from repro.parser.api import ParserBase
 from repro.parser.fields import ParsedRecord
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
@@ -46,31 +48,6 @@ def _block_runs(blocks: list[str], label: str) -> list[tuple[int, int]]:
     if start is not None:
         runs.append((start, len(blocks)))
     return runs
-
-
-#: Per-worker parser for the multiprocessing shards of parse_many /
-#: label_lines_many.  Set once by the pool initializer: with the fork
-#: start method the parser (and its warm line caches) is inherited
-#: copy-on-write; with spawn it is pickled once per worker -- either
-#: way, per-task payloads stay small.
-_SHARD_PARSER: "WhoisParser | None" = None
-
-
-def _init_shard_worker(parser: "WhoisParser") -> None:
-    global _SHARD_PARSER
-    _SHARD_PARSER = parser
-
-
-def _parse_shard(payload: tuple[list, int]) -> list[ParsedRecord]:
-    records, chunk_size = payload
-    return _SHARD_PARSER.parse_many(records, jobs=1, chunk_size=chunk_size)
-
-
-def _label_shard(payload: tuple[list, int]) -> list:
-    records, chunk_size = payload
-    return _SHARD_PARSER.label_lines_many(
-        records, jobs=1, chunk_size=chunk_size
-    )
 
 
 class WhoisParser(ParserBase):
@@ -101,10 +78,8 @@ class WhoisParser(ParserBase):
         l2: float = 1.0,
         min_count: int = 1,
         unk_min_count: int | None = None,
-        trainer: str = "lbfgs",
         max_iterations: int = 120,
         second_level: bool = True,
-        seed: int = 0,
     ) -> None:
         self.spec = get_domain(domain)
         self.featurizer = WhoisFeaturizer(
@@ -115,11 +90,7 @@ class WhoisParser(ParserBase):
         #: marks out-of-vocabulary words with explicit UNK attributes
         self._unk_min_count = unk_min_count
         self._crf_kwargs = dict(
-            min_count=min_count,
-            l2=l2,
-            trainer=trainer,
-            max_iterations=max_iterations,
-            seed=seed,
+            min_count=min_count, l2=l2, max_iterations=max_iterations
         )
         self.block_crf = ChainCRF(self.spec.block_labels, **self._crf_kwargs)
         self.registrant_crf = (
@@ -159,9 +130,7 @@ class WhoisParser(ParserBase):
         sequences, labels = [], []
         for record in records:
             for texts, subs in sub_segments(record, self.spec):
-                sequences.append(
-                    self.featurizer.featurize_registrant_lines(texts)
-                )
+                sequences.append(self.featurizer.featurize_lines(texts))
                 labels.append(subs)
         return sequences, labels
 
@@ -255,21 +224,18 @@ class WhoisParser(ParserBase):
     # ------------------------------------------------------------------
 
     def _raw_lines(self, record: WhoisRecord | LabeledRecord | str) -> list[str]:
-        """A record's raw units, segmented per the featurizer granularity.
+        """A record's raw units.
 
         Labeled records keep their stored segmentation; raw text and
-        :class:`WhoisRecord` inputs are split into lines (the paper's
-        setup) or normalized characters (char-grained domains such as
-        citations).
+        :class:`WhoisRecord` inputs are split by the featurizer's own
+        configuration (:meth:`WhoisFeaturizer.segment
+        <repro.whois.features.WhoisFeaturizer.segment>`).
         """
         if isinstance(record, LabeledRecord):
             return record.raw_lines
-        text = record if isinstance(record, str) else record.text
-        if self.featurizer.config.granularity == "char":
-            from repro.whois.records import segment_chars
-
-            return segment_chars(text)
-        return text.splitlines()
+        return self.featurizer.segment(
+            record if isinstance(record, str) else record.text
+        )
 
     def _encode_blocks(self, records: list) -> tuple[list[list[str]], list]:
         """Each record's labelable units and their first-level encodings,
@@ -395,44 +361,21 @@ class WhoisParser(ParserBase):
             )
         return self._bulk_encoders
 
-    def _map_sharded(
-        self,
-        worker,
-        records: list,
-        jobs: int,
-        chunk_size: int,
-        start_method: str | None = None,
-    ):
-        """Fan a bulk call out over ``jobs`` worker processes.
-
-        Each worker runs the full single-process bulk pipeline on one
-        contiguous shard (featurize, batch-decode both levels, assemble)
-        and ships back only the small results -- the parser itself
-        travels once per worker via the pool initializer.
-
-        ``start_method`` pins the multiprocessing start method; by
-        default ``fork`` is preferred (workers inherit the warm line
-        caches copy-on-write) with a fallback to the platform default
-        (``spawn`` on macOS/Windows), where the initializer pickles the
-        parser once per worker -- small when the model was loaded with
-        ``mmap=True``, since the weights pickle as a file descriptor
-        rather than as bytes.
-        """
-        import multiprocessing as mp
-
-        method = start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
-        bounds = [len(records) * i // jobs for i in range(jobs + 1)]
-        shards = [
-            (records[bounds[i]:bounds[i + 1]], chunk_size)
-            for i in range(jobs)
-        ]
-        with ctx.Pool(
-            jobs, initializer=_init_shard_worker, initargs=(self,)
-        ) as pool:
-            parts = pool.map(worker, shards)
+    def _sharded(
+        self, body, records: list, jobs: int, chunk_size: int, start_method
+    ) -> list:
+        """``body`` (an unbound single-process bulk method) over
+        ``jobs`` worker processes, one contiguous shard each, through
+        :func:`repro.parallel.map_chunks`.  Each worker runs the whole
+        pipeline on its shard and ships back only the small results."""
+        with obs.trace("parse.sharded_seconds", jobs=str(jobs)):
+            parts = map_chunks(
+                partial(body, chunk_size=chunk_size),
+                self,
+                records,
+                jobs,
+                start_method=start_method,
+            )
         return [item for part in parts for item in part]
 
     def label_lines_many(
@@ -452,14 +395,14 @@ class WhoisParser(ParserBase):
         segments are gathered into a single second-level batch.  With
         ``jobs > 1`` the whole pipeline shards across processes
         (``start_method`` optionally pins the multiprocessing start
-        method; see :meth:`_map_sharded`).
+        method; see :func:`repro.parallel.map_chunks`).
         """
         records = list(records)
         if jobs > 1 and len(records) >= 2 * jobs:
-            with obs.trace("parse.sharded_seconds", jobs=str(jobs)):
-                return self._map_sharded(
-                    _label_shard, records, jobs, chunk_size, start_method
-                )
+            return self._sharded(
+                WhoisParser.label_lines_many,
+                records, jobs, chunk_size, start_method,
+            )
         _block_encoder, registrant_encoder = self._encoders()
         with obs.trace("parse.encode_seconds", level="block"):
             lines_per, encoded = self._encode_blocks(records)
@@ -574,14 +517,14 @@ class WhoisParser(ParserBase):
         102M com records is ~400k chunks of this method, embarrassingly
         parallel across machines on top of the in-process ``jobs``
         sharding (``start_method`` optionally pins the multiprocessing
-        start method; see :meth:`_map_sharded`).
+        start method; see :func:`repro.parallel.map_chunks`).
         """
         records = list(records)
         if jobs > 1 and len(records) >= 2 * jobs:
-            with obs.trace("parse.sharded_seconds", jobs=str(jobs)):
-                return self._map_sharded(
-                    _parse_shard, records, jobs, chunk_size, start_method
-                )
+            return self._sharded(
+                WhoisParser.parse_many,
+                records, jobs, chunk_size, start_method,
+            )
         labeled_many = self.label_lines_many(records, chunk_size=chunk_size)
         with obs.trace("parse.assemble_seconds"):
             return [self._assemble(labeled) for labeled in labeled_many]

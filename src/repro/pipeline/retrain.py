@@ -10,7 +10,7 @@ the maintenance loop:
   sample, so the optimizer starts next to the solution instead of at
   zero (``benchmarks/bench_maintainability_loop.py`` measures the
   speedup over a cold refit of the enlarged corpus);
-- **checkpoint/resume** -- the trainers snapshot resumable
+- **checkpoint/resume** -- the trainer snapshots resumable
   :class:`~repro.crf.train.TrainerState` objects mid-run;
   :class:`WarmStartRetrainer` persists them under ``checkpoint_dir`` so
   a retrain killed mid-flight loses at most ``checkpoint_every``
@@ -175,10 +175,7 @@ class WarmStartRetrainer:
         """
         fresh = WhoisParser(
             featurizer_config=template.featurizer.config,
-            **{
-                key: template._crf_kwargs[key]
-                for key in ("l2", "min_count", "trainer", "max_iterations", "seed")
-            },
+            **template._crf_kwargs,
             second_level=template.registrant_crf is not None,
         )
         started = perf_counter()

@@ -10,9 +10,11 @@ corpus, without waiting for registries to migrate.
 The gateway is the serving tier of the production story, so it carries
 the serving-tier conveniences: a bounded LRU response cache (WHOIS
 records change on the order of days; gateway traffic repeats heavily),
-a bulk :meth:`lookup_many` that rides the parser's batched path, and
-``repro.obs`` instrumentation (lookup counts, latencies, cache hit
-rates, error codes).
+one lookup body (:meth:`RdapGateway.try_lookup_many`) that rides the
+parser's batched path and that :meth:`~RdapGateway.lookup` and
+:meth:`~RdapGateway.lookup_many` wrap, and ``repro.obs``
+instrumentation (lookup counts, latencies, cache hit rates, error
+codes).
 """
 
 from __future__ import annotations
@@ -121,105 +123,47 @@ class RdapGateway:
     # Lookups
     # ------------------------------------------------------------------
 
-    def _build(self, domain: str, text: str) -> dict:
-        """Parse one thick record and validate the RDAP rendering."""
-        parsed = self.parser.parse(text)
-        payload = parsed_to_rdap(domain, parsed).to_json()
-        validate_rdap(payload)
-        return payload
-
     def lookup(self, domain: str) -> dict:
-        """RDAP domain object for ``domain``; raises DomainNotFound."""
-        self.lookups += 1
-        obs.inc("rdap.lookups")
-        key = domain.lower()
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        start = perf_counter()
-        try:
-            text = self._fetch(key)
-            if text is None:
-                raise DomainNotFound(domain)
-            payload = self._build(domain, text)
-        except Exception as exc:
-            obs.inc("rdap.errors", code=str(_status_for(exc)))
-            raise
-        obs.observe("rdap.lookup_seconds", perf_counter() - start)
-        self._cache_put(key, payload)
-        return payload
+        """RDAP domain object for ``domain``; raises DomainNotFound (or
+        the typed error :meth:`try_lookup_many` gives its slot)."""
+        return self.lookup_many([domain])[0]
 
-    def lookup_many(self, domains: Sequence[str], *, jobs: int = 1) -> list[dict]:
-        """Bulk :meth:`lookup`, parsed on the parser's batched path.
-
-        Returns exactly ``[self.lookup(d) for d in domains]`` -- same
-        payloads in the same order, cache consulted and filled the same
-        way, and :class:`DomainNotFound` raised for the first domain (in
-        input order) without a record -- but every uncached record goes
-        through one ``parse_many`` call, sharded over ``jobs`` worker
-        processes when the parser supports it.
-        """
-        domains = list(domains)
-        self.lookups += len(domains)
-        obs.inc("rdap.lookups", len(domains))
-        payloads: list[dict | None] = [None] * len(domains)
-        #: uncached key -> indices awaiting its payload, in input order.
-        #: Duplicates of an uncached domain are parsed once and fanned
-        #: out, exactly as a lookup() loop would hit the cache on the
-        #: second occurrence.
-        pending: "OrderedDict[str, list[int]]" = OrderedDict()
-        for i, domain in enumerate(domains):
-            key = domain.lower()
-            if key in pending:
-                pending[key].append(i)
-                continue
-            cached = self._cache_get(key)
-            if cached is not None:
-                payloads[i] = cached
-            else:
-                pending[key] = [i]
-        texts: list[str] = []
-        for key, indices in pending.items():
-            text = self._fetch(key)
-            if text is None:
-                obs.inc("rdap.errors", code="404")
-                raise DomainNotFound(domains[indices[0]])
-            texts.append(text)
-        if texts:
-            start = perf_counter()
-            parsed_records = self.parser.parse_many(texts, jobs=jobs)
-            for (key, indices), parsed in zip(pending.items(), parsed_records):
-                domain = domains[indices[0]]
-                try:
-                    payload = parsed_to_rdap(domain, parsed).to_json()
-                    validate_rdap(payload)
-                except Exception as exc:
-                    obs.inc("rdap.errors", code=str(_status_for(exc)))
-                    raise
-                self._cache_put(key, payload)
-                for i in indices:
-                    payloads[i] = payload
-            obs.observe("rdap.lookup_many_seconds", perf_counter() - start)
-        return payloads
+    def lookup_many(self, domains: Sequence[str]) -> list[dict]:
+        """Bulk :meth:`lookup`: the payloads of :meth:`try_lookup_many`,
+        or the first error among its slots (in input order), raised
+        after the whole batch was looked up."""
+        results = self.try_lookup_many(domains)
+        for result in results:
+            if isinstance(result, ReproError):
+                raise result
+        return results
 
     def try_lookup_many(
-        self, domains: Sequence[str], *, jobs: int = 1
+        self, domains: Sequence[str]
     ) -> "list[dict | ReproError]":
-        """Per-domain :meth:`lookup` results that never raise.
+        """Per-domain lookup results that never raise: the one lookup body.
 
-        Each slot holds either the validated RDAP payload or the typed
-        :class:`~repro.errors.ReproError` that lookup would have raised
-        for that domain (:class:`DomainNotFound` for missing records; a
-        render/validation crash becomes a generic 500-shaped
-        :class:`~repro.errors.ReproError`).  One bad domain therefore
-        cannot sink the rest of the batch -- the contract the serving
-        tier's micro-batcher fans results out under.  Uncached records
-        still parse in a single ``parse_many`` call.
+        Checks the cache, fetches every uncached record, parses them in
+        one ``parse_many`` call, then renders and validates each.  Each
+        slot holds the validated RDAP payload or a typed
+        :class:`~repro.errors.ReproError`: :class:`DomainNotFound` for a
+        missing record, the fetch's own typed error, or a 500-shaped
+        ``ReproError`` for a render or validation crash.
+        One bad domain therefore cannot sink the rest of the batch --
+        the contract the serving tier's micro-batcher fans results out
+        under.
+
+        Duplicates (case-insensitive) are fetched and parsed once, and
+        every counter reads as a loop of single lookups would while the
+        cache holds the batch: a later occurrence of a domain that
+        resolved counts as a cache hit, one of a domain that failed as
+        another cache miss and error.
         """
         domains = list(domains)
         self.lookups += len(domains)
         obs.inc("rdap.lookups", len(domains))
         results: "list[dict | ReproError | None]" = [None] * len(domains)
+        #: uncached key -> the indices awaiting it, in input order
         pending: "OrderedDict[str, list[int]]" = OrderedDict()
         for i, domain in enumerate(domains):
             key = domain.lower()
@@ -231,41 +175,56 @@ class RdapGateway:
                 results[i] = cached
             else:
                 pending[key] = [i]
+        start = perf_counter()
         texts: dict[str, str] = {}
         for key, indices in pending.items():
-            text = self._fetch(key)
+            try:
+                text = self._fetch(key)
+            except ReproError as exc:  # a typed fetch failure
+                self._settle(results, indices, exc)
+                continue
             if text is None:
-                obs.inc("rdap.errors", code="404")
-                error = DomainNotFound(domains[indices[0]])
-                for i in indices:
-                    results[i] = error
+                self._settle(
+                    results, indices, DomainNotFound(domains[indices[0]])
+                )
             else:
                 texts[key] = text
         if texts:
-            start = perf_counter()
-            parsed_records = self.parser.parse_many(
-                list(texts.values()), jobs=jobs
-            )
+            parsed_records = self.parser.parse_many(list(texts.values()))
             for key, parsed in zip(texts, parsed_records):
                 indices = pending[key]
-                domain = domains[indices[0]]
                 try:
-                    payload = parsed_to_rdap(domain, parsed).to_json()
+                    payload = parsed_to_rdap(
+                        domains[indices[0]], parsed
+                    ).to_json()
                     validate_rdap(payload)
                 except Exception as exc:
-                    obs.inc("rdap.errors", code=str(_status_for(exc)))
-                    error = (
+                    self._settle(results, indices, (
                         exc if isinstance(exc, ReproError)
                         else ReproError(f"{type(exc).__name__}: {exc}")
-                    )
-                    for i in indices:
-                        results[i] = error
+                    ))
                     continue
                 self._cache_put(key, payload)
-                for i in indices:
-                    results[i] = payload
-            obs.observe("rdap.lookup_many_seconds", perf_counter() - start)
+                self._settle(results, indices, payload)
+            obs.observe("rdap.lookup_seconds", perf_counter() - start)
         return results
+
+    def _settle(
+        self, results: list, indices: list[int], outcome: "dict | ReproError"
+    ) -> None:
+        """Fill one uncached domain's slots with ``outcome``, counting
+        its repeats within the batch as a loop of lookups would."""
+        for i in indices:
+            results[i] = outcome
+        repeats = len(indices) - 1
+        if isinstance(outcome, ReproError):
+            obs.inc("rdap.errors", len(indices), code=str(outcome.http_status))
+            if self.cache_size and repeats:
+                self.cache_misses += repeats
+                obs.inc("rdap.cache.misses", repeats)
+        elif self.cache_size and repeats:
+            self.cache_hits += repeats
+            obs.inc("rdap.cache.hits", repeats)
 
     # ------------------------------------------------------------------
     # HTTP-shaped responses
@@ -287,7 +246,7 @@ class RdapGateway:
         Errors serialize through the shared :mod:`repro.errors`
         taxonomy: any :class:`~repro.errors.ReproError` -- a
         :class:`DomainNotFound`, but equally a typed
-        :class:`~repro.errors.CrawlError` bubbling up from a live fetch
+        :class:`~repro.errors.CrawlError` bubbling up from the fetch
         -- supplies its own HTTP-analog status and taxonomy code (echoed
         in the body's ``reproErrorCode``); foreign exceptions (a parse
         crash, a validation failure) render the 500 shape with the

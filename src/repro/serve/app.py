@@ -26,6 +26,7 @@ are rejected, and only then do the sockets close.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,8 +71,21 @@ class _RegistryParser(ParserBase):
     def parse(self, record) -> ParsedRecord:
         return self._models.current_parser.parse(record)
 
-    def parse_many(self, records, *, jobs: int = 1) -> list[ParsedRecord]:
-        return self._models.current_parser.parse_many(records, jobs=jobs)
+    def parse_many(self, records) -> list[ParsedRecord]:
+        return self._models.current_parser.parse_many(records)
+
+
+def _weakly(method) -> Callable[[list], list]:
+    """``method`` as a function that does not keep its object alive.
+
+    The app owns its batchers, so a batcher holding a bound method of
+    the app would close a reference cycle, and a stopped and dropped app
+    (with its parser and line caches) would live on until a full
+    collection.  Calls still dispatch to the method of the app's own
+    class, so a subclass may override the batch functions.
+    """
+    ref = weakref.WeakMethod(method)
+    return lambda items: ref()(items)
 
 
 def render_parsed_whois(parsed: ParsedRecord) -> str:
@@ -137,13 +151,13 @@ class ServeApp:
             rate_penalty=self.config.rate_penalty,
         )
         self.parse_batcher = MicroBatcher(
-            self._parse_batch,
+            _weakly(self._parse_batch),
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             name="parse",
         )
         self.rdap_batcher = MicroBatcher(
-            self._rdap_batch,
+            _weakly(self._rdap_batch),
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             name="rdap",
@@ -192,9 +206,10 @@ class ServeApp:
         if http_port is not None:
             from repro.serve.http import HttpFrontend
 
-            self._http = HttpFrontend(self)
+            # The listener holds the front-end (and through it the app)
+            # until stop() drops the listeners.
             server = await asyncio.start_server(
-                self._http.handle, host, http_port
+                HttpFrontend(self).handle, host, http_port
             )
             self.http_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)

@@ -11,23 +11,23 @@ batch, then one parse of the admitted records), normalize, and write
 -- the ``audioscavenger/whoisd`` shape of bulk ingest into a real
 database.
 
-With ``shards > 1`` that body runs once per shard:
+With ``shards > 1`` that body runs once per shard, through the
+process pool :meth:`WhoisParser.parse_many` uses too
+(:func:`repro.parallel.map_chunks`):
 
-1. the coordinator splits the jobs into ``shards`` contiguous chunks (a
-   static work queue: chunk boundaries are deterministic, so sharded
-   output is row-identical to single-process output);
-2. each worker process (reusing the fork/mmap-friendly pool-initializer
-   pattern of :meth:`WhoisParser.parse_many`) runs the inline body over
-   its chunk into its own sqlite shard -- beside a file-backed
-   destination, under a temporary directory otherwise;
+1. the jobs are cut into ``shards`` contiguous chunks (chunk boundaries
+   are deterministic, so sharded output is row-identical to
+   single-process output);
+2. each worker process runs the inline body over its chunk into its own
+   sqlite shard -- beside a file-backed destination, under a temporary
+   directory otherwise;
 3. the coordinator merges the shards into the destination in shard
    order (:meth:`~repro.survey.store.SurveyStore.absorb`: ``ATTACH`` +
    ``INSERT .. SELECT`` for sqlite) and re-accounts quarantined domains
    into the crawl stats from each shard's quarantine table;
-4. when the coordinator records metrics (``repro.obs``), each worker
-   records into a fresh registry and hands back a plain dump of it
-   beside its shard path, and the coordinator merges the dumps: the
-   counters and histograms read as they would inline.
+4. when the coordinator records metrics (``repro.obs``), the pool
+   merges each worker's counters and histograms back, so they read as
+   they would inline.
 
 Workers never ship parsed records back through the pipe -- only shard
 paths -- so the coordinator's memory stays flat no matter the record
@@ -36,12 +36,15 @@ count.
 
 from __future__ import annotations
 
+import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
+from repro.parallel import map_chunks
 from repro.resilience.quarantine import screen_and_parse
 from repro.survey.database import SurveyDatabase
 from repro.survey.store import MemoryStore, SqliteStore, SurveyStore
@@ -96,36 +99,19 @@ def jobs_from_results(
     return jobs
 
 
-#: Per-worker parser, installed once by the pool initializer (inherited
-#: copy-on-write under fork; pickled once per worker under spawn, which
-#: stays small for mmap-loaded models).
-_INGEST_PARSER = None
-
-
-def _init_ingest_worker(parser) -> None:
-    global _INGEST_PARSER
-    _INGEST_PARSER = parser
-
-
-def _ingest_shard(payload) -> tuple[str, dict | None]:
-    """Worker body: the inline ingest of one chunk into its own sqlite
-    shard.  Returns the shard's path and, when the coordinator records
-    metrics (``registry_settings`` is set), a :meth:`dump
-    <repro.obs.MetricsRegistry.dump>` of what this chunk recorded into
-    a fresh registry."""
-    jobs, shard_path, batch_size, gate, registry_settings = payload
-    registry = (
-        obs.MetricsRegistry(**registry_settings)
-        if registry_settings is not None
-        else None
-    )
-    with obs.use(registry):
-        db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
-        try:
-            _ingest_inline(jobs, _INGEST_PARSER, db, gate=gate, stats=None)
-        finally:
-            db.close()
-    return shard_path, registry.dump() if registry is not None else None
+def _ingest_shard(
+    parser, jobs: list[IngestJob], *, shard_dir: str, batch_size: int, gate
+) -> str:
+    """Worker body: the inline ingest of one chunk into a new sqlite
+    shard under ``shard_dir``; returns the shard's path."""
+    handle, shard_path = tempfile.mkstemp(suffix=".db", dir=shard_dir)
+    os.close(handle)
+    db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
+    try:
+        _ingest_inline(jobs, parser, db, gate=gate, stats=None)
+    finally:
+        db.close()
+    return shard_path
 
 
 def _audit_for(job: IngestJob, parsed):
@@ -157,46 +143,31 @@ def sharded_ingest(
     from ``ok`` to ``quarantined``.  Falls back to the in-process path
     for tiny inputs or ``shards <= 1``.
     """
-    import multiprocessing as mp
-
     destination = store if store is not None else MemoryStore()
     db = SurveyDatabase(destination)
     jobs = list(jobs)
     if shards <= 1 or len(jobs) < 2 * shards:
         return _ingest_inline(jobs, parser, db, gate=gate, stats=stats)
 
-    method = start_method
-    if method is None:
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-    ctx = mp.get_context(method)
     path = getattr(destination, "path", ":memory:")
     shard_root = None if path == ":memory:" else Path(path).parent
-    bounds = [len(jobs) * i // shards for i in range(shards + 1)]
-    registry = obs.active()
-    registry_settings = None if registry is None else {
-        "max_series": registry.max_series,
-        "sample_size": registry.sample_size,
-        "bounds": registry.bounds,
-    }
     with (
         obs.trace("survey.sharded_ingest_seconds", shards=str(shards)),
         tempfile.TemporaryDirectory(
             prefix=".survey-shards-", dir=shard_root
         ) as shard_dir,
     ):
-        payloads = [
-            (jobs[bounds[i]:bounds[i + 1]],
-             str(Path(shard_dir) / f"shard{i}.db"), batch_size, gate,
-             registry_settings)
-            for i in range(shards)
-        ]
-        with ctx.Pool(
-            shards, initializer=_init_ingest_worker, initargs=(parser,)
-        ) as pool:
-            results = pool.map(_ingest_shard, payloads)
-        for shard_path, metrics in results:
-            if metrics is not None:
-                registry.merge(metrics)
+        shard_paths = map_chunks(
+            partial(
+                _ingest_shard,
+                shard_dir=shard_dir, batch_size=batch_size, gate=gate,
+            ),
+            parser,
+            jobs,
+            shards,
+            start_method=start_method,
+        )
+        for shard_path in shard_paths:
             shard = SqliteStore(shard_path, read_only=True)
             try:
                 destination.absorb(shard)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.crf.features import Sequence
 from repro.whois.lexicon import Lexicon
-from repro.whois.records import WhoisRecord, is_labelable
+from repro.whois.records import is_labelable, segment_chars
 from repro.whois.text import (
     detect_symbol_start,
     indentation,
@@ -113,6 +113,18 @@ class WhoisFeaturizer:
                 f"{self.config.granularity!r}; expected 'line' or 'char'"
             )
         self.lexicon = lexicon
+
+    def segment(self, text: str) -> list[str]:
+        """Split raw record text into this configuration's units.
+
+        Lines under line granularity (the paper's setup); normalized
+        characters (:func:`~repro.whois.records.segment_chars`) under
+        char granularity.  This is the one place text is split into
+        units, so a parser splits by its own featurizer's configuration.
+        """
+        if self.config.granularity == "char":
+            return segment_chars(text)
+        return text.splitlines()
 
     # ------------------------------------------------------------------
     # Per-line analysis
@@ -351,8 +363,11 @@ class WhoisFeaturizer:
     def featurize_lines(self, raw_lines: list[str]) -> Sequence:
         """Featurize the labelable units of a record, with layout context.
 
-        Under char granularity ``raw_lines`` holds the record's
-        segmented characters and this delegates to
+        Serves both levels: a whole record for the first-level CRF, and a
+        registrant block (a contiguous run of labelable lines, so ``NL``
+        never fires; indentation shifts still do) for the second.  Under
+        char granularity ``raw_lines`` holds the record's segmented
+        characters (:meth:`segment`) and this delegates to
         :meth:`featurize_chars`.
         """
         cfg = self.config
@@ -396,27 +411,3 @@ class WhoisFeaturizer:
             obs_seq.append(obs)
             edge_seq.append(edge)
         return Sequence(obs=obs_seq, edge=edge_seq)
-
-    def featurize_record(self, record: WhoisRecord) -> Sequence:
-        """Per-line attribute lists for a record's labelable lines."""
-        return self.featurize_lines(record.lines)
-
-    def featurize_text(self, text: str) -> Sequence:
-        """Per-unit attribute lists straight from raw record text."""
-        if self.config.granularity == "char":
-            from repro.whois.records import segment_chars
-
-            return self.featurize_chars(segment_chars(text))
-        return self.featurize_lines(text.splitlines())
-
-    # ------------------------------------------------------------------
-    # Registrant-block featurization (second-level CRF)
-    # ------------------------------------------------------------------
-
-    def featurize_registrant_lines(self, lines: list[str]) -> Sequence:
-        """Featurize a registrant block for the second-level CRF.
-
-        The block is a contiguous run of labelable lines, so ``NL`` context
-        does not apply; indentation shifts within the block do.
-        """
-        return self.featurize_lines(lines)

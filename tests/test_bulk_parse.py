@@ -110,6 +110,50 @@ def test_parse_many_sharded_matches_loop(world):
     assert parser.parse_many(test, jobs=2) == loop
 
 
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("method", ["parse_many", "label_lines_many"])
+def test_sharded_bulk_calls_match_and_report_worker_metrics(
+    world, method, start_method
+):
+    """``jobs=2`` returns what ``jobs=1`` returns and records the same
+    lookups and the same ``parse.*`` spans, through the one process pool."""
+    import multiprocessing
+
+    from repro import obs
+
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method here")
+    parser, _train, test = world
+    # A copy with cold line caches and nothing left undrained.
+    parser = pickle.loads(pickle.dumps(parser))
+    records = test[:40]
+    spans = [("parse.encode_seconds", {"level": "block"}),
+             ("parse.encode_seconds", {"level": "registrant"}),
+             ("parse.decode_seconds", {"level": "block"}),
+             ("parse.decode_seconds", {"level": "registrant"})]
+    if method == "parse_many":
+        spans.append(("parse.assemble_seconds", {}))
+    outputs, lookups = {}, {}
+    for jobs in (1, 2):
+        registry = obs.MetricsRegistry()
+        with obs.use(registry):
+            outputs[jobs] = getattr(parser, method)(
+                records, jobs=jobs, start_method=start_method
+            )
+        # Each worker has its own line cache, so hits and misses split
+        # differently across workers; the lines looked up do not.
+        lookups[jobs] = {
+            level: registry.counter_value("parse.line_cache.hits", level=level)
+            + registry.counter_value("parse.line_cache.misses", level=level)
+            for level in ("block", "registrant")
+        }
+        for name, labels in spans:
+            assert registry.histogram(name, **labels).count >= 1, (jobs, name)
+    assert outputs[2] == outputs[1]
+    assert lookups[2] == lookups[1]
+    assert lookups[1]["block"] > 0 and lookups[1]["registrant"] > 0
+
+
 def test_label_lines_many_matches_label_lines(world):
     parser, _train, test = world
     subset = test[:60]

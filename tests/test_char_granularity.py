@@ -141,11 +141,23 @@ def test_char_featurize_text_matches_featurize_chars():
 
     featurizer = WhoisFeaturizer(TOY.featurizer_config)
     text = "host:  8080\n"
-    by_text = featurizer.featurize_text(text)
+    by_text = featurizer.featurize_lines(featurizer.segment(text))
     by_chars = featurizer.featurize_chars(segment_chars(text))
     assert len(by_text) == len(segment_chars(text))
     assert by_text.obs == by_chars.obs
     assert by_text.edge == by_chars.edge
+
+
+def test_parser_splits_text_by_its_own_featurizer_config():
+    # The featurizer's configuration decides the units, not the
+    # domain's default, in both directions.
+    text = "host:  8080\nport: 1"
+    line_on_char = WhoisParser(domain=TOY, featurizer_config=FeaturizerConfig())
+    assert line_on_char._raw_lines(text) == ["host:  8080", "port: 1"]
+    char_on_line = WhoisParser(
+        featurizer_config=FeaturizerConfig(granularity="char")
+    )
+    assert char_on_line._raw_lines(text) == segment_chars(text)
 
 
 def test_char_line_encoder_matches_featurize_then_encode(toy_parser):

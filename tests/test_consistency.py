@@ -318,7 +318,7 @@ class GoldParser:
                 lines, blocks, subs
             )
 
-    def parse_many(self, texts, jobs=1):
+    def parse_many(self, texts):
         return [self._by_text[text] for text in texts]
 
 

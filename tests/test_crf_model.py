@@ -1,5 +1,7 @@
 """Tests for FeatureIndex, the training objective, and ChainCRF end to end."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from repro.crf.batch import EncodedBatch, batch_nll_grad
 from repro.crf.features import FeatureIndex, Sequence
 from repro.crf.model import ChainCRF
 from repro.crf.objective import ParamView
-from repro.crf.train import LBFGSTrainer, SGDTrainer
 
 
 def nll_grad(params, dataset, index, l2):
@@ -187,37 +188,6 @@ def test_lbfgs_learns_separable_corpus():
     assert crf.train_log is not None and crf.train_log.n_iterations > 0
 
 
-def test_sgd_learns_separable_corpus():
-    seqs, labels = _learnable_corpus()
-    crf = ChainCRF(["h", "c"], l2=0.1, trainer="sgd", sgd_epochs=20).fit(
-        seqs, labels
-    )
-    assert crf.predict(Sequence(obs=[["hot"], ["cold"]])) == ["h", "c"]
-
-
-def test_sgd_objective_decreases():
-    seqs, labels = _learnable_corpus()
-    index = FeatureIndex(["h", "c"]).build(seqs)
-    dataset = [
-        (index.encode(s), index.encode_labels(l)) for s, l in zip(seqs, labels)
-    ]
-    _, log = SGDTrainer(l2=0.1, epochs=15, seed=1).fit(dataset, index)
-    assert log.objective_values[-1] < log.objective_values[0]
-
-
-def test_trainers_agree_on_small_problem():
-    seqs, labels = _learnable_corpus(10)
-    index = FeatureIndex(["h", "c"]).build(seqs)
-    dataset = [
-        (index.encode(s), index.encode_labels(l)) for s, l in zip(seqs, labels)
-    ]
-    p_lbfgs, _ = LBFGSTrainer(l2=1.0).fit(dataset, index)
-    p_sgd, _ = SGDTrainer(l2=1.0, epochs=200, seed=0).fit(dataset, index)
-    nll_lbfgs, _ = nll_grad(p_lbfgs, dataset, index, l2=1.0)
-    nll_sgd, _ = nll_grad(p_sgd, dataset, index, l2=1.0)
-    assert nll_sgd == pytest.approx(nll_lbfgs, rel=0.05)
-
-
 def test_transition_features_disambiguate_identical_observations():
     # Observation "mid" is ambiguous; only the NL edge marker tells the model
     # whether a new block started. This is the heart of the paper's design.
@@ -339,12 +309,12 @@ def test_save_load_roundtrip(tmp_path):
 @given(st.integers(min_value=0, max_value=1000))
 @settings(max_examples=15, deadline=None)
 def test_training_is_deterministic(seed):
-    # Same data, same seed -> identical parameters (no hidden global RNG).
-    seqs, labels = _learnable_corpus(8)
-    crf1 = ChainCRF(["h", "c"], trainer="sgd", seed=seed, sgd_epochs=3).fit(
-        seqs, labels
-    )
-    crf2 = ChainCRF(["h", "c"], trainer="sgd", seed=seed, sgd_epochs=3).fit(
-        seqs, labels
-    )
-    np.testing.assert_array_equal(crf1.params, crf2.params)
+    # Same data -> identical parameters, whatever state the global RNGs
+    # are in (no hidden global RNG).
+    seqs, labels = _learnable_corpus(2 + seed % 7)
+    fits = []
+    for rng_seed in (seed, seed + 1):
+        random.seed(rng_seed)
+        np.random.seed(rng_seed)
+        fits.append(ChainCRF(["h", "c"], l2=0.1).fit(seqs, labels).params)
+    np.testing.assert_array_equal(fits[0], fits[1])

@@ -170,6 +170,26 @@ def test_cli_parse_from_stdin(tmp_path, capsys, monkeypatch):
     assert output["domain"] == record.domain
 
 
+def test_cli_parse_jobs_reports_worker_metrics(tmp_path, capsys):
+    """``parse --jobs 2 --metrics-out`` keeps what the workers recorded."""
+    corpus_path = tmp_path / "c.jsonl"
+    model_path = tmp_path / "m"
+    main(["generate", str(corpus_path), "--count", "40", "--seed", "9"])
+    main(["train", str(corpus_path), str(model_path)])
+    paths = []
+    for i, record in enumerate(load_corpus(corpus_path)[:4]):
+        path = tmp_path / f"record{i}.txt"
+        path.write_text(record.text)
+        paths.append(str(path))
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["parse", str(model_path), *paths, "--jobs", "2",
+                 "--metrics-out", str(metrics)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    counters = json.loads(metrics.read_text())["counters"]
+    assert "parse.line_cache.misses" in counters
+
+
 def test_cli_metrics_out(tmp_path, capsys):
     """--metrics-out writes pipeline metrics alongside each command."""
     corpus_path = tmp_path / "corpus.jsonl"

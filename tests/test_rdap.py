@@ -7,6 +7,7 @@ import pytest
 
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.parser import WhoisParser
+from repro.parser.api import ParserBase
 from repro.rdap.convert import parsed_to_rdap, registration_to_rdap
 from repro.rdap.schema import (
     RdapDomain,
@@ -251,16 +252,123 @@ def test_gateway_emits_obs_metrics(world):
     registry = obs.MetricsRegistry()
     with obs.use(registry):
         gateway = RdapGateway(parser, records.get, cache_size=4)
-        gateway.lookup(domains[0])
-        gateway.lookup(domains[0])
-        gateway.lookup_many(domains)
+        gateway.lookup(domains[0])  # parses
+        gateway.lookup(domains[0])  # cache hit: no parse
+        gateway.lookup_many(domains)  # one parse for the four uncached
         with pytest.raises(DomainNotFound):
-            gateway.lookup("missing.com")
+            gateway.lookup("missing.com")  # nothing to parse
     assert registry.counter_value("rdap.lookups") == 2 + len(domains) + 1
     assert registry.counter_value("rdap.cache.hits") >= 2
     assert registry.counter_value("rdap.errors", code="404") == 1
-    assert registry.histogram("rdap.lookup_seconds").count >= 1
-    assert registry.histogram("rdap.lookup_many_seconds").count == 1
+    # One latency histogram, observed once per call that parsed.
+    assert registry.histogram("rdap.lookup_seconds").count == 2
+    assert "rdap.lookup_many_seconds" not in registry.names()
+
+
+class _PoisonParser(ParserBase):
+    """The real parser, except that one record's parse names a domain
+    RDAP validation rejects (a non-ASCII ldhName)."""
+
+    def __init__(self, parser, poison_text):
+        self.parser = parser
+        self.poison_text = poison_text
+
+    def parse(self, record):
+        return self.parse_many([record])[0]
+
+    def parse_many(self, records):
+        parsed = self.parser.parse_many(records)
+        for record, result in zip(records, parsed):
+            if record == self.poison_text:
+                result.domain = "bäd.example"
+        return parsed
+
+
+@pytest.mark.parametrize("cache_size", [0, 64])
+def test_lookup_loop_lookup_many_and_try_lookup_many_agree(world, cache_size):
+    """``lookup`` in a loop, ``lookup_many`` and ``try_lookup_many`` are
+    one body: the same payloads, errors, cache and counters."""
+    from repro import obs
+    from repro.errors import ReproError, Timeout
+
+    _generator, corpus, parser = world
+    records = {r.domain: r.text for r in corpus[120:]}
+    poison = corpus[140].domain
+    stub = _PoisonParser(parser, records[poison])
+    found = [r.domain for r in corpus[120:128]]
+    domains = (
+        found[:4] + ["missing.com", found[0].upper(), poison]
+        + found[4:] + [found[3], "MISSING.com", poison.upper(), found[0]]
+        + ["down.example"]
+    )
+
+    def fetch(domain):
+        if domain == "down.example":
+            raise Timeout("registrar went dark", domain=domain)
+        return records.get(domain)
+
+    def run(call):
+        registry = obs.MetricsRegistry()
+        gateway = RdapGateway(stub, fetch, cache_size=cache_size)
+        with obs.use(registry):
+            results = call(gateway)
+        counters = {
+            name: registry.counter_series(name)
+            for name in ("rdap.lookups", "rdap.cache.hits",
+                         "rdap.cache.misses", "rdap.errors")
+        }
+        state = (
+            dict(gateway._cache), gateway.lookups,
+            gateway.cache_hits, gateway.cache_misses,
+        )
+        return results, state, counters
+
+    def loop(gateway):
+        results = []
+        for domain in domains:
+            try:
+                results.append(gateway.lookup(domain))
+            except ReproError as exc:
+                results.append(exc)
+        return results
+
+    def many(gateway):
+        with pytest.raises(ReproError) as excinfo:
+            gateway.lookup_many(domains)
+        return excinfo.value
+
+    def shape(results):
+        return [
+            (type(r).__name__, r.http_status)
+            if isinstance(r, ReproError) else r
+            for r in results
+        ]
+
+    looped, loop_state, loop_counters = run(loop)
+    tried, try_state, try_counters = run(
+        lambda gateway: gateway.try_lookup_many(domains)
+    )
+    raised, many_state, many_counters = run(many)
+
+    assert shape(tried) == shape(looped)
+    assert [type(r) for r in looped].count(DomainNotFound) == 2
+    assert [
+        type(r) for r in looped if isinstance(r, ReproError)
+    ].count(ReproError) == 2  # the render failure, typed as a 500
+    # lookup_many raises the first error in input order, after the
+    # whole batch was looked up (its cache and counters match).
+    assert isinstance(raised, DomainNotFound)
+    assert "missing.com" in str(raised)
+    assert loop_state == try_state == many_state
+    assert loop_counters == try_counters == many_counters
+    assert isinstance(looped[-1], Timeout)  # the fetch's own typed error
+    assert loop_counters["rdap.errors"] == {
+        (("code", "404"),): 2.0, (("code", "500"),): 2.0,
+        (("code", "504"),): 1.0,
+    }
+    if cache_size:
+        assert loop_state[2] == 3  # the repeats of found domains hit
+        assert set(loop_state[0]) == {d.lower() for d in found}
 
 
 def test_gateway_agreement_with_ground_truth(world):

@@ -502,3 +502,43 @@ def test_metrics_registry_restored_after_stop(world):
         assert obs.active() is previous
     finally:
         obs.uninstall()
+
+
+@pytest.mark.parametrize("listeners", [False, True])
+def test_stopped_app_is_freed_without_a_collection(world, listeners):
+    """A started, used and stopped app is freed by reference counting
+    alone: nothing the app owns refers back to it, so its parser and
+    line caches go when the last outside reference does."""
+    import gc
+    import weakref
+
+    parser, corpus, records = world
+    domain = corpus[50].domain
+    app = make_app(world, max_batch_size=8)
+
+    async def scenario():
+        if listeners:
+            await app.start(http_port=0, whois_port=0)
+            status, _ = await http_request(
+                app.http_port, "GET", f"/rdap/domain/{domain}"
+            )
+            assert status == 200
+            assert f"Domain Name: {domain}" in await whois_query(
+                "127.0.0.1", app.whois_port, domain
+            )
+        else:
+            await app.start()
+            await app.parse_text(records[domain])
+            await app.rdap_domain(domain)
+        await app.stop()
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        asyncio.run(scenario())
+        ref = weakref.ref(app)
+        del app
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crf.features import FeatureIndex, Sequence
-from repro.crf.train import LBFGSTrainer, SGDTrainer
+from repro.crf.train import LBFGSTrainer
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.parser import WhoisParser
 from repro.whois.features import WhoisFeaturizer
@@ -64,28 +64,6 @@ def test_lbfgs_empty_dataset():
     _, index = _dataset()
     with pytest.raises(ValueError):
         LBFGSTrainer().fit([], index)
-
-
-def test_sgd_parameter_validation():
-    with pytest.raises(ValueError):
-        SGDTrainer(epochs=0)
-    with pytest.raises(ValueError):
-        SGDTrainer(batch_size=0)
-
-
-def test_sgd_batch_size_does_not_change_learnability():
-    dataset, index = _dataset(20)
-    for batch_size in (1, 4, 32):
-        params, _ = SGDTrainer(l2=0.2, epochs=30, batch_size=batch_size,
-                               seed=0).fit(dataset, index)
-        # Both states separable -> obs weight for ("a","x") must dominate.
-        from repro.crf.objective import ParamView
-
-        view = ParamView.of(params, index)
-        a = index.obs_vocab["a"]
-        assert view.obs[a, index.label_ids["x"]] > view.obs[
-            a, index.label_ids["y"]
-        ]
 
 
 # ----------------------------------------------------------------------

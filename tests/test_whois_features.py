@@ -81,7 +81,7 @@ def test_featurize_lines_shift_markers():
 def test_featurize_record_matches_labelable_lines():
     text = "Domain Name: X.COM\n\n%%%\nRegistrant Name: J\n   More: y"
     record = WhoisRecord(domain="x.com", text=text)
-    seq = FZR.featurize_record(record)
+    seq = FZR.featurize_lines(FZR.segment(record.text))
     assert len(seq) == len(record)
 
 

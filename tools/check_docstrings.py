@@ -28,7 +28,7 @@ from pathlib import Path
 
 #: The ratchet. Raise it when coverage rises; never lower it to make a
 #: failing build pass — write the docstrings instead.
-BASELINE = 0.95
+BASELINE = 0.96
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
