@@ -39,7 +39,7 @@ def test_batched_objective_throughput(benchmark, encoded_world):
     corpus, _featurizer, index, batch, params = encoded_world
 
     def step():
-        return batch_nll_grad(params, batch, index, l2=0.1)
+        return batch_nll_grad(params, [batch], index, l2=0.1)
 
     nll, _grad = benchmark(step)
     tokens = batch.n_tokens

@@ -6,7 +6,7 @@ bounds the survey.  This bench times the three ways to run that workload:
 
 - the per-record ``parse()`` loop (the naive baseline);
 - ``parse_many`` in one process (batched Viterbi + memoized line
-  encoding + arena-backed decode, the steady-state survey path);
+  encoding, the steady-state survey path);
 - ``parse_many`` sharded over worker processes (``jobs=2`` and
   ``jobs=4``).
 

@@ -25,7 +25,6 @@ from itertools import chain
 
 import numpy as np
 
-from repro.crf.arena import TensorArena, get_arena
 from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.crf.objective import ParamView
 
@@ -141,16 +140,11 @@ class EncodedBatch:
         self.edge_a = np.fromiter(
             chain.from_iterable(edge_lists), dtype=np.intp, count=len(self.edge_rt)
         )
-        self._set_masks()
-
-    def _set_masks(self) -> None:
-        """Masks of valid tokens and of valid transitions (t < length-1)."""
-        steps = np.arange(self.t_max)
+        # Masks of valid tokens and of valid transitions (t < length-1).
+        steps = np.arange(t_max)
         self.token_mask = steps[None, :] < self.lengths[:, None]
-        self.trans_mask = (
-            steps[None, : self.t_max - 1] < (self.lengths - 1)[:, None]
-        )
-        self.n_tokens = int(self.lengths.sum())
+        self.trans_mask = steps[None, : t_max - 1] < (self.lengths - 1)[:, None]
+        self.n_tokens = n_tokens
 
     @classmethod
     def from_encoded(
@@ -159,57 +153,16 @@ class EncodedBatch:
         """Inference-only batch over unlabeled encoded sequences."""
         return cls([(seq, None) for seq in sequences], index)
 
-    def subset(self, rows: np.ndarray) -> "EncodedBatch":
-        """The batch restricted to the given record rows, in that order.
-
-        Rows keep the parent's padded length; the occurrence arrays are
-        remapped to the new row positions.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        sub = object.__new__(EncodedBatch)
-        sub.n_states = self.n_states
-        sub.lengths = self.lengths[rows]
-        sub.n_records = len(rows)
-        sub.t_max = self.t_max
-        sub.labels = self.labels[rows]
-        order = np.argsort(rows, kind="stable")
-        rows_sorted = rows[order]
-        keep, sub.obs_rt = _remap_rows(
-            self.obs_rt, self.t_max, rows_sorted, order
-        )
-        sub.obs_a = self.obs_a[keep]
-        keep_e, sub.edge_rt = _remap_rows(
-            self.edge_rt, max(self.t_max - 1, 1), rows_sorted, order
-        )
-        sub.edge_a = self.edge_a[keep_e]
-        sub._set_masks()
-        return sub
-
-    # ------------------------------------------------------------------
-
-    def chunks(self, chunk_size: int):
-        """Yield row-subsets of at most ``chunk_size`` records."""
-        if self.n_records <= chunk_size:
-            yield self
-            return
-        for start in range(0, self.n_records, chunk_size):
-            yield self.subset(
-                np.arange(start, min(start + chunk_size, self.n_records))
-            )
-
-    def potentials(
-        self, view: ParamView, arena: TensorArena
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def potentials(self, view: ParamView) -> tuple[np.ndarray, np.ndarray]:
         """Batch emission ``(R,T,S)`` and transition ``(R,T-1,S,S)`` scores.
 
-        Both tensors are backed by the ``arena``'s pooled buffers, valid
-        until its next batch.  When no edge attributes fire the
-        transition block is a read-only broadcast view of ``view.trans``
-        -- zero copies for the common homogeneous case.
+        When no edge attributes fire the transition block is a read-only
+        broadcast view of ``view.trans`` -- zero copies for the common
+        homogeneous case.
         """
         n_r, t_max, n_s = self.n_records, self.t_max, self.n_states
         t1 = max(t_max - 1, 0)
-        emit = arena.zeros("pot_emit", (n_r * t_max, n_s))
+        emit = np.zeros((n_r * t_max, n_s))
         if self.obs_a.size:
             _scatter_rows(emit, self.obs_rt, view.obs[self.obs_a])
         emit = emit.reshape(n_r, t_max, n_s)
@@ -219,7 +172,7 @@ class EncodedBatch:
         # we simply never read alpha past each sequence's length.
         if not self.edge_a.size:
             return emit, np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
-        trans = arena.take("pot_trans", (n_r * t1, n_s, n_s))
+        trans = np.empty((n_r * t1, n_s, n_s))
         trans[:] = view.trans
         _scatter_rows(
             trans.reshape(len(trans), -1),
@@ -245,22 +198,17 @@ class EncodedBatch:
 
 
 def batch_forward_backward(
-    batch: EncodedBatch,
-    emit: np.ndarray,
-    trans: np.ndarray,
-    arena: TensorArena,
+    batch: EncodedBatch, emit: np.ndarray, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched alpha, beta, and per-record logZ (eqs. (9)-(10)).
 
     ``alpha[r, t, j]`` is the log-sum over label prefixes of record ``r``
     ending in ``j`` at ``t``; ``beta[r, t, i]`` the log-sum over suffixes
     after ``i``; ``log_z[r]`` is ``log Z(x)`` of eq. (3).  Past a record's
-    last token alpha carries forward and beta stays 0.  The alpha/beta
-    tables live in the ``arena``'s pooled buffers and are only valid
-    until its next batch; ``log_z`` is always a fresh array.
+    last token alpha carries forward and beta stays 0.
     """
     n_r, t_max, n_s = emit.shape
-    alpha = arena.take("fb_alpha", (n_r, t_max, n_s))
+    alpha = np.empty((n_r, t_max, n_s))
     alpha[:, 0] = emit[:, 0]
     for t in range(1, t_max):
         prev = alpha[:, t - 1]
@@ -272,7 +220,7 @@ def batch_forward_backward(
     last = batch.lengths - 1
     log_z = _logsumexp(alpha[np.arange(n_r), last], axis=1)
 
-    beta = arena.zeros("fb_beta", (n_r, t_max, n_s))
+    beta = np.zeros((n_r, t_max, n_s))
     for t in range(t_max - 2, -1, -1):
         nxt = emit[:, t + 1] + beta[:, t + 1]
         scores = trans[:, t] + nxt[:, None, :]
@@ -285,35 +233,35 @@ def batch_forward_backward(
 
 def batch_nll_grad(
     params: np.ndarray,
-    batch: EncodedBatch,
+    batches: list[EncodedBatch],
     index: FeatureIndex,
     l2: float,
-    *,
-    chunk_size: int = 512,
 ) -> tuple[float, np.ndarray]:
-    """Regularized NLL and gradient over a batch, chunked to bound memory."""
+    """Regularized NLL and gradient summed over ``batches``.
+
+    The trainer cuts a large dataset into several batches once per fit
+    (bounding the padded tensors' memory); the objective is the same sum
+    however the rows are cut.
+    """
     view = ParamView.of(params, index)
     grad = np.zeros_like(params)
     grad_view = ParamView.of(grad, index)
     nll = 0.0
-    for chunk in batch.chunks(chunk_size):
-        nll += _chunk_nll_grad(chunk, view, grad_view)
+    for batch in batches:
+        nll += _batch_nll_grad(batch, view, grad_view)
     if l2 > 0.0:
         nll += 0.5 * l2 * float(params @ params)
         grad += l2 * params
     return nll, grad
 
 
-def _chunk_nll_grad(
+def _batch_nll_grad(
     batch: EncodedBatch, view: ParamView, grad_view: ParamView
 ) -> float:
+    """One batch's unregularized NLL; its gradient adds into ``grad_view``."""
     n_s = batch.n_states
-    # Training reuses this thread's arena for the chunk-sized tensors; all
-    # values that outlive the chunk (nll, gradient updates) are scalars or
-    # accumulated into grad_view, so nothing arena-backed escapes.
-    arena = get_arena()
-    emit, trans = batch.potentials(view, arena)
-    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    emit, trans = batch.potentials(view)
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans)
     nll = float(log_z.sum()) - batch.observed_score(emit, trans)
 
     # Node marginals, zeroed on padding.
@@ -347,22 +295,3 @@ def _chunk_nll_grad(
             edges_flat = edges.reshape(-1, n_s, n_s)
             np.add.at(grad_view.edge, batch.edge_a, edges_flat[batch.edge_rt])
     return nll
-
-
-def _remap_rows(
-    flat: np.ndarray, stride: int, rows_sorted: np.ndarray, new_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized row remap of flattened ``(row * stride + t)`` indices.
-
-    ``rows_sorted`` holds the selected original rows in ascending order and
-    ``new_rows[i]`` the subset row index of ``rows_sorted[i]``.  Returns the
-    boolean keep-mask over occurrences and the remapped flat indices of the
-    kept ones.  ``np.searchsorted`` on the sorted row array replaces the
-    former per-occurrence Python dict lookup, which was O(occurrences)
-    interpreter work per chunk.
-    """
-    occ_rows = flat // stride
-    pos = np.searchsorted(rows_sorted, occ_rows)
-    pos = np.minimum(pos, len(rows_sorted) - 1)
-    keep = rows_sorted[pos] == occ_rows
-    return keep, new_rows[pos[keep]] * stride + flat[keep] % stride

@@ -16,26 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch, batch_forward_backward
 
 
 def batch_viterbi(
-    batch: EncodedBatch,
-    emit: np.ndarray,
-    trans: np.ndarray,
-    arena: TensorArena,
+    batch: EncodedBatch, emit: np.ndarray, trans: np.ndarray
 ) -> list[np.ndarray]:
     """Most likely label sequence per record, eqs. (13)-(17) batched.
 
     Returns one int array of length ``lengths[r]`` per record, in batch
-    order, with first-index ``argmax`` tie-breaking.  The padded
-    backpointer/label tables reuse the ``arena``'s pooled buffers; the
-    returned per-record paths are fresh copies and never alias them.
+    order, with first-index ``argmax`` tie-breaking.  Each path is a
+    trimmed copy, so holding it does not keep the padded tables alive.
     """
     n_r, t_max, n_s = emit.shape
     value = emit[:, 0].copy()  # eq. (14), carried forward on padding
-    back = arena.take("vit_back", (n_r, max(t_max - 1, 0), n_s), np.intp)
+    back = np.empty((n_r, max(t_max - 1, 0), n_s), dtype=np.intp)
     rows = np.arange(n_r)
     for t in range(1, t_max):
         scores = value[:, :, None] + trans[:, t - 1]  # eq. (15) inner bracket
@@ -50,7 +45,7 @@ def batch_viterbi(
     # `value` now holds each record's Viterbi values at its *own* final
     # token (padding steps never overwrite it).
     last = batch.lengths - 1
-    labels = arena.full("vit_labels", (n_r, t_max), -1, np.intp)
+    labels = np.full((n_r, t_max), -1, dtype=np.intp)
     labels[rows, last] = np.argmax(value, axis=1)
     for t in range(t_max - 2, -1, -1):  # eq. (17)
         nxt = np.maximum(labels[:, t + 1], 0)  # padded rows masked below
@@ -60,21 +55,16 @@ def batch_viterbi(
 
 
 def batch_marginals(
-    batch: EncodedBatch,
-    emit: np.ndarray,
-    trans: np.ndarray,
-    arena: TensorArena,
+    batch: EncodedBatch, emit: np.ndarray, trans: np.ndarray
 ) -> list[np.ndarray]:
     """Per-token posteriors ``Pr(y_t | x)`` per record, shape ``(T_r, S)``.
 
     The batched forward-backward of the training path provides alpha, beta
-    and per-record ``log Z``; each record's marginals are sliced out of the
-    padded block.  Returned arrays are fresh copies, safe to hold after
-    the ``arena``'s next batch.
+    and per-record ``log Z``; each record's marginals are a trimmed copy
+    of its rows of the padded block.
     """
-    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena)
-    node = arena.take("marg_node", alpha.shape)
-    np.add(alpha, beta, out=node)
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans)
+    node = alpha + beta
     node -= log_z[:, None, None]
     np.exp(node, out=node)
     return [

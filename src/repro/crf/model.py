@@ -10,7 +10,6 @@ from typing import Iterable, Sequence as TypingSequence
 
 import numpy as np
 
-from repro.crf.arena import get_arena
 from repro.crf.batch import EncodedBatch, batch_forward_backward
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
@@ -216,7 +215,7 @@ class ChainCRF:
         sorted by length and padded into per-chunk :class:`EncodedBatch`
         objects (bounding peak memory at roughly ``chunk_size * T_max *
         S^2`` floats; length-sorting keeps each chunk's padding tight);
-        ``decode(chunk, emit, trans, arena)`` turns one chunk's
+        ``decode(chunk, emit, trans)`` turns one chunk's
         potentials into per-record results, which are scattered back
         into input order.  Empty sequences map to ``empty(index)``.
         """
@@ -231,17 +230,13 @@ class ChainCRF:
         if not keep:
             return out
         keep.sort(key=lambda i: len(encoded[i]))
-        # All padded intermediates (potentials, recursion tables,
-        # backpointers) reuse this thread's arena across chunks; the
-        # decode callbacks copy anything they return.
-        arena = get_arena()
         for start in range(0, len(keep), chunk_size):
             rows = keep[start:start + chunk_size]
             batch = EncodedBatch.from_encoded(
                 [encoded[i] for i in rows], index
             )
-            emit, trans = batch.potentials(view, arena)
-            for i, result in zip(rows, decode(batch, emit, trans, arena)):
+            emit, trans = batch.potentials(view)
+            for i, result in zip(rows, decode(batch, emit, trans)):
                 out[i] = result
         return out
 
@@ -262,10 +257,10 @@ class ChainCRF:
         """
         index = self.index
 
-        def decode(chunk, emit, trans, arena):
+        def decode(chunk, emit, trans):
             return [
                 index.decode_labels(row.tolist())
-                for row in batch_viterbi(chunk, emit, trans, arena)
+                for row in batch_viterbi(chunk, emit, trans)
             ]
 
         return self._decode_many(
@@ -294,9 +289,9 @@ class ChainCRF:
         both from one potentials pass per chunk."""
         index = self.index
 
-        def decode(chunk, emit, trans, arena):
-            paths = batch_viterbi(chunk, emit, trans, arena)
-            marginals = batch_marginals(chunk, emit, trans, arena)
+        def decode(chunk, emit, trans):
+            paths = batch_viterbi(chunk, emit, trans)
+            marginals = batch_marginals(chunk, emit, trans)
             return [
                 (index.decode_labels(path.tolist()), node)
                 for path, node in zip(paths, marginals)
@@ -330,9 +325,8 @@ class ChainCRF:
         index, view = self._require_fitted()
         encoded = index.encode(_as_sequence(seq))
         batch = EncodedBatch([(encoded, index.encode_labels(list(labels)))], index)
-        arena = get_arena()
-        emit, trans = batch.potentials(view, arena)
-        _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+        emit, trans = batch.potentials(view)
+        _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
         return batch.observed_score(emit, trans) - float(log_z[0])
 
     # ------------------------------------------------------------------

@@ -32,6 +32,10 @@ from repro import obs
 from repro.crf.batch import EncodedBatch, batch_nll_grad
 from repro.crf.features import EncodedSequence, FeatureIndex
 
+#: Most sequences per training batch: the padded tensors of one batch
+#: scale with its rows, so a large fit is cut into batches of this size.
+BATCH_SIZE = 512
+
 
 @dataclass
 class TrainerState:
@@ -136,11 +140,14 @@ class LBFGSTrainer:
         if params.shape != (index.n_features,):
             raise ValueError("initial parameter vector has the wrong size")
         log = TrainLog()
-        batch = EncodedBatch(dataset, index)
+        batches = [
+            EncodedBatch(dataset[start:start + BATCH_SIZE], index)
+            for start in range(0, len(dataset), BATCH_SIZE)
+        ]
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             started = perf_counter()
-            nll, grad = batch_nll_grad(theta, batch, index, self.l2)
+            nll, grad = batch_nll_grad(theta, batches, index, self.l2)
             log.record(nll)
             # Per-evaluation observability hooks (Section 5's "watch the
             # parser train" story): loss trajectory, gradient norm, and

@@ -10,9 +10,9 @@ limit, and subsequently queries well under it.
 
 Failure handling is typed and policy-driven: every failed fetch carries a
 :class:`~repro.errors.CrawlError` (the legacy status string survives as a
-derived property), vantage escalation follows a
-:class:`~repro.resilience.Hedge` schedule (default: the paper's three
-vantage points), transport faults back off under a
+derived property), vantage escalation follows the paper's schedule
+(each source IP once, at most :data:`MAX_ATTEMPTS` queries sent),
+transport faults back off under a
 :class:`~repro.resilience.RetryPolicy`, and an optional per-server
 :class:`~repro.resilience.CircuitBreaker` sheds load from servers that
 have gone dark.
@@ -41,9 +41,12 @@ from repro.netsim.servers import QueryOutcome, Response
 from repro.resilience.policies import (
     BreakerPolicy,
     CircuitBreaker,
-    Hedge,
     RetryPolicy,
 )
+
+#: Most queries one lookup sends to a server across its vantage points
+#: (Section 4.1's three-attempt retry); a backed-off vantage sends none.
+MAX_ATTEMPTS = 3
 
 #: Transport-level outcomes retried under the RetryPolicy (no rate-limit
 #: inference: the server did not refuse us, the network failed us).
@@ -231,9 +234,9 @@ class WhoisCrawler:
 
     ``retry_policy`` shapes the backoff after transport faults
     (timeouts, resets, 5xx-analogs); the default reproduces the legacy
-    fixed ``penalty_guess`` wait.  ``hedge`` shapes vantage escalation;
-    the default reproduces the paper's one-attempt-per-vantage schedule
-    over ``retries`` attempts.  ``breaker`` (a
+    fixed ``penalty_guess`` wait.  Vantage escalation tries each of
+    ``source_ips`` once, up to :data:`MAX_ATTEMPTS` queries sent.
+    ``breaker`` (a
     :class:`~repro.resilience.BreakerPolicy`) enables per-server circuit
     breaking; None (the default) disables it.
     """
@@ -244,11 +247,9 @@ class WhoisCrawler:
         *,
         source_ips: tuple[str, ...] = ("10.0.0.1", "10.0.0.2", "10.0.0.3"),
         registry_host: str = "whois.verisign-grs.com",
-        retries: int = 3,
         max_wait: float = 30.0,
         penalty_guess: float = 60.0,
         retry_policy: RetryPolicy | None = None,
-        hedge: Hedge | None = None,
         breaker: BreakerPolicy | None = None,
     ) -> None:
         """Wire the crawler to ``internet`` with its pacing/recovery knobs."""
@@ -258,13 +259,11 @@ class WhoisCrawler:
         self.clock = internet.clock
         self.source_ips = tuple(source_ips)
         self.registry_host = registry_host
-        self.retries = retries
         self.max_wait = max_wait
         self.penalty_guess = penalty_guess
         self.retry_policy = retry_policy or RetryPolicy(
             base_delay=penalty_guess, multiplier=1.0
         )
-        self.hedge = hedge or Hedge(max_attempts=retries)
         self.breaker_policy = breaker
         self._breakers: dict[str, CircuitBreaker] = {}
         self._servers: dict[str, _ServerState] = {}
@@ -290,7 +289,9 @@ class WhoisCrawler:
 
     def _paced_query(self, host: str, query: str, *, domain: str) -> Response:
         """Query ``host``, pacing below its inferred limit, escalating
-        across vantage points per the hedge schedule.
+        across vantage points: each source IP once, skipping one backed
+        off beyond ``max_wait``, until :data:`MAX_ATTEMPTS` queries are
+        sent.
 
         Returns a valid response or raises the :class:`CrawlError`
         describing the final failure.
@@ -299,8 +300,8 @@ class WhoisCrawler:
         breaker = self._breaker(host)
         attempts = 0
         last_error: CrawlError | None = None
-        for ip in self.hedge.plan(self.source_ips):
-            if attempts >= self.hedge.max_attempts:
+        for ip in self.source_ips:
+            if attempts >= MAX_ATTEMPTS:
                 break
             if breaker is not None and not breaker.allow():
                 self.stats.breaker_skips += 1

@@ -52,8 +52,8 @@ class LineEncoder:
     depth, and the block-header headword -- everything about a line that
     does not depend on its neighbors.
 
-    **Cap behavior**: every per-line dict (line profiles, labelability,
-    raw analyses) is capped at ``cache_size`` distinct entries.  Once the
+    **Cap behavior**: both per-line dicts (encoded line profiles and raw
+    analyses) are capped at ``cache_size`` distinct entries.  Once the
     cap is reached, *lookups* still hit but new lines stop being
     inserted -- they are re-analyzed on every occurrence.  WHOIS
     vocabulary is heavy-headed enough that the hot lines enter early, so
@@ -71,6 +71,7 @@ class LineEncoder:
         cache_size: int = 200_000,
         profiles: dict | None = None,
     ) -> None:
+        """Empty caches for ``index``; ``profiles`` may be shared."""
         self.featurizer = featurizer
         self.index = index
         self.cache_size = cache_size
@@ -89,10 +90,6 @@ class LineEncoder:
             str, tuple[tuple[int, ...], tuple[int, ...], int, str | None]
         ] = {}
         self._ctx: dict[str, tuple[int, ...]] = {}
-        #: line -> labelability; is_labelable() is a character scan and
-        #: shows up at survey scale, so it is memoized alongside the
-        #: profiles under the same cap.
-        self._labelable: dict[str, bool] = {}
         #: cumulative cache accounting (plain ints on the hot path; the
         #: bulk parser drains deltas into ``repro.obs`` per batch)
         self.hits = 0
@@ -286,19 +283,11 @@ class LineEncoder:
         blank_run = 0
         prev_indent: int | None = None
         header: tuple[str, int] | None = None
-        # Local bindings: these two dict probes run once per input line at
+        # Local binding: this dict probe runs once per labelable line at
         # survey scale, so the method-call indirection is inlined away.
-        labelable_cache = self._labelable
-        labelable_get = labelable_cache.get
         lines_get = self._lines.get
-        cache_size = self.cache_size
         for line in raw_lines:
-            labelable = labelable_get(line)
-            if labelable is None:
-                labelable = is_labelable(line)
-                if len(labelable_cache) < cache_size:
-                    labelable_cache[line] = labelable
-            if not labelable:
+            if not is_labelable(line):
                 blank_run += 1
                 continue
             if collect is not None:
@@ -349,12 +338,12 @@ class LineEncoder:
     def cache_arrays(self) -> dict[str, np.ndarray]:
         """The per-line encoding caches as flat arrays.
 
-        Captures the encoded line profiles, the header-context ids and
-        the labelability flags -- the expensive, vocabulary-dependent
-        part -- as int32 id arrays with per-entry counts, an indent
-        column, and string columns stored as one UTF-8 blob with
-        per-entry lengths (:func:`_pack_strings`).  Validity is the
-        caller's problem: :meth:`WhoisParser.save_encoder_cache
+        Captures the encoded line profiles and the header-context ids
+        -- the expensive, vocabulary-dependent part -- as int32 id
+        arrays with per-entry counts, an indent column, and string
+        columns stored as one UTF-8 blob with per-entry lengths
+        (:func:`_pack_strings`).  Validity is the caller's problem:
+        :meth:`WhoisParser.save_encoder_cache
         <repro.parser.statistical.WhoisParser.save_encoder_cache>`
         stores a vocabulary fingerprint beside the arrays so a stale
         cache is discarded instead of silently mis-encoding.
@@ -378,18 +367,14 @@ class LineEncoder:
         arrays["ctx_ids"], arrays["ctx_counts"] = _pack_ids(
             list(self._ctx.values())
         )
-        arrays["labelable"], arrays["labelable_lengths"] = _pack_strings(
-            self._labelable
-        )
-        arrays["labelable_flags"] = np.array(
-            list(self._labelable.values()), dtype=np.bool_
-        )
         return arrays
 
     def read_cache_arrays(self, arrays: Mapping[str, np.ndarray]) -> tuple:
         """Decode :meth:`cache_arrays` output into the state
         :meth:`load_cache_state` applies.
 
+        Arrays it does not read are ignored (files written when the
+        encoder also cached labelability carry three more per level).
         Raises ``KeyError`` for a missing array and ``ValueError`` when
         the arrays disagree (a line count, an id total, or a string
         blob's length that does not add up) or hold an id outside this
@@ -410,35 +395,28 @@ class LineEncoder:
         ctx_ids = _unpack_ids(
             arrays["ctx_ids"], arrays["ctx_counts"], obs_size
         )
-        labelable = _unpack_strings(
-            arrays["labelable"], arrays["labelable_lengths"]
-        )
-        flags = arrays["labelable_flags"].tolist()
         if not (
             len(lines) == len(obs) == len(edge) == len(indents)
             == len(headwords)
             and len(ctx) == len(ctx_ids)
-            and len(labelable) == len(flags)
         ):
             raise ValueError("encoder cache arrays disagree in length")
         return (
             dict(zip(lines, zip(obs, edge, indents, headwords))),
             dict(zip(ctx, ctx_ids)),
-            dict(zip(labelable, flags)),
         )
 
-    def load_cache_state(self, state: tuple[dict, dict, dict]) -> int:
+    def load_cache_state(self, state: tuple[dict, dict]) -> int:
         """Warm the caches from a :meth:`read_cache_arrays` state.
 
         Lines already cached keep their entry, and entries beyond
         ``cache_size`` are dropped.  Returns the number of line profiles
         loaded (also tracked as :attr:`warm_entries`).
         """
-        lines, ctx, labelable = state
+        lines, ctx = state
         loaded = _fill(self._lines, lines, self.cache_size)
         # One entry per distinct headword: header contexts are uncapped.
         _fill(self._ctx, ctx, len(self._ctx) + len(ctx))
-        _fill(self._labelable, labelable, self.cache_size)
         self.warm_entries += loaded
         return loaded
 

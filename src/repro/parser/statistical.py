@@ -81,6 +81,7 @@ class WhoisParser(ParserBase):
         max_iterations: int = 120,
         second_level: bool = True,
     ) -> None:
+        """Unfitted parser for ``domain`` with the given CRF settings."""
         self.spec = get_domain(domain)
         self.featurizer = WhoisFeaturizer(
             featurizer_config or self.spec.featurizer_config
@@ -477,30 +478,8 @@ class WhoisParser(ParserBase):
                     encoder.warm_entries,
                     level=level,
                 )
-        if registry is None:
-            return
-        from repro.crf.arena import get_arena
-
-        registry.set_gauge("parse.arena_bytes", get_arena().nbytes)
-        registry.observe("parse.batch_records", n_records)
-
-    def encoder_cache_totals(self) -> tuple[int, int]:
-        """Cumulative ``(hits, misses)`` across the bulk line encoders.
-
-        Unlike :meth:`LineEncoder.drain_cache_stats` -- whose deltas
-        :meth:`_flush_bulk_metrics` consumes per batch -- the totals here
-        are monotonic for the life of the encoders, so an online consumer
-        (the ``/metrics`` endpoint of :mod:`repro.serve`) can sync its own
-        counters against them without racing the per-batch drain.
-        """
-        if self._bulk_encoders is None:
-            return (0, 0)
-        hits = misses = 0
-        for encoder in self._bulk_encoders:
-            if encoder is not None:
-                hits += encoder.hits
-                misses += encoder.misses
-        return (hits, misses)
+        if registry is not None:
+            registry.observe("parse.batch_records", n_records)
 
     def parse_many(
         self,

@@ -170,11 +170,14 @@ class WarmStartRetrainer:
 
         The baseline the warm path is measured against: same final
         training set, optimizer started from zero.  ``template`` only
-        supplies the hyper-parameters (a new parser is constructed with
-        the same CRF settings and featurizer configuration).
+        supplies the settings (a new parser is constructed for the same
+        domain, with the same CRF settings, featurizer configuration and
+        UNK threshold).
         """
         fresh = WhoisParser(
+            domain=template.spec,
             featurizer_config=template.featurizer.config,
+            unk_min_count=template._unk_min_count,
             **template._crf_kwargs,
             second_level=template.registrant_crf is not None,
         )

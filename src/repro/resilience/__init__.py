@@ -1,17 +1,18 @@
-"""Crawl resilience: retry/hedge/breaker policies and the quarantine.
+"""Crawl resilience: retry/breaker policies and the quarantine.
 
 The policy engine the crawler runs against a hostile internet
-(:mod:`repro.netsim.faults`): :class:`RetryPolicy` backoff,
-:class:`Hedge` vantage escalation, per-server :class:`CircuitBreaker`
-load shedding, and the :class:`RecordGate` whose rejects the survey
-keeps queryable in its quarantine table instead of silently dropping.
-Failures are typed via :mod:`repro.errors` throughout.
+(:mod:`repro.netsim.faults`): :class:`RetryPolicy` backoff, per-server
+:class:`CircuitBreaker` load shedding, and the :class:`RecordGate`
+whose rejects the survey keeps queryable in its quarantine table
+instead of silently dropping.  Vantage escalation is the paper's fixed
+schedule and lives in the crawler itself (each source IP once, at most
+three queries sent).  Failures are typed via :mod:`repro.errors`
+throughout.
 """
 
 from repro.resilience.policies import (
     BreakerPolicy,
     CircuitBreaker,
-    Hedge,
     RetryPolicy,
 )
 from repro.resilience.quarantine import (
@@ -23,7 +24,6 @@ from repro.resilience.quarantine import (
 __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
-    "Hedge",
     "QuarantinedRecord",
     "RecordGate",
     "RetryPolicy",

@@ -1,14 +1,12 @@
-"""Crawl resilience policies: retry backoff, hedging, circuit breaking.
+"""Crawl resilience policies: retry backoff and circuit breaking.
 
-The paper's crawler survives a hostile internet with three mechanisms
-this module makes explicit and tunable (each loadable from JSON for the
-CLI):
+Besides the paper's vantage escalation (each source IP once, at most
+three queries sent; see :class:`~repro.netsim.crawler.WhoisCrawler`),
+the crawler survives a hostile internet with two mechanisms this module
+makes explicit and tunable (each loadable from JSON for the CLI):
 
 - :class:`RetryPolicy` -- capped exponential backoff with deterministic
   jitter, replacing the crawler's single hard-coded penalty guess;
-- :class:`Hedge` -- the vantage-escalation schedule (which source IPs to
-  try, how many attempts each), replacing the hard-coded three-vantage
-  retry of Section 4.1;
 - :class:`CircuitBreaker` -- per-server closed/open/half-open load
   shedding so a dark server stops consuming attempts (and simulated
   hours) long before every domain behind it times out.
@@ -24,7 +22,6 @@ import json
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
 
 from repro import obs
 
@@ -88,43 +85,6 @@ class RetryPolicy:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "RetryPolicy":
-        """Build from a JSON string or a path to a JSON file."""
-        return cls.from_dict(_load_json(source))
-
-
-@dataclass(frozen=True)
-class Hedge:
-    """The vantage-escalation schedule.
-
-    ``plan(ips)`` yields the candidate source IP for each successive
-    attempt slot: ``attempts_per_vantage`` tries on one vantage before
-    escalating to the next.  The caller (the crawler) stops once
-    ``max_attempts`` queries have actually been *sent* -- a vantage
-    skipped because it is backed off does not consume an attempt.  The
-    paper's behavior is ``Hedge(max_attempts=3, attempts_per_vantage=1)``
-    over three IPs.
-    """
-
-    max_attempts: int = 3
-    attempts_per_vantage: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1 or self.attempts_per_vantage < 1:
-            raise ValueError("hedge needs at least one attempt")
-
-    def plan(self, source_ips: Sequence[str]) -> Iterator[str]:
-        """Yield the source IP to use for each successive attempt slot."""
-        for ip in source_ips:
-            for _ in range(self.attempts_per_vantage):
-                yield ip
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Hedge":
-        """Build from a mapping, rejecting unknown keys."""
-        return _from_dict(cls, data)
-
-    @classmethod
-    def from_json(cls, source: str | Path) -> "Hedge":
         """Build from a JSON string or a path to a JSON file."""
         return cls.from_dict(_load_json(source))
 

@@ -164,9 +164,6 @@ class ServeApp:
         )
         self._servers: list[asyncio.AbstractServer] = []
         self._previous_registry: "obs.MetricsRegistry | None" = None
-        #: per-parser encoder-cache totals already folded into the
-        #: serve.encoder_cache_* counters (see ``sync_encoder_metrics``)
-        self._encoder_seen: dict[int, tuple[int, int]] = {}
         self.ready = False
         self.http_port: "int | None" = None
         self.whois_port: "int | None" = None
@@ -313,34 +310,10 @@ class ServeApp:
     # Metrics
     # ------------------------------------------------------------------
 
-    def sync_encoder_metrics(self) -> None:
-        """Fold LineEncoder cache totals into ``serve.encoder_cache_*``.
-
-        The bulk path's per-batch drain (``drain_cache_stats``) feeds
-        the offline ``parse.line_cache.*`` series; online we want the
-        same efficacy signal as stable counters on ``/metrics``.  Totals
-        are tracked per parser instance so a hot-swap (fresh encoders,
-        counts restarting at zero) never moves a counter backwards.
-        """
-        if not self.models.has_active:
-            return
-        parser = self.models.current_parser
-        totals = getattr(parser, "encoder_cache_totals", None)
-        if totals is None:
-            return
-        hits, misses = totals()
-        seen_hits, seen_misses = self._encoder_seen.get(id(parser), (0, 0))
-        if hits > seen_hits:
-            obs.inc("serve.encoder_cache_hits", hits - seen_hits)
-        if misses > seen_misses:
-            obs.inc("serve.encoder_cache_misses", misses - seen_misses)
-        self._encoder_seen[id(parser)] = (hits, misses)
-
     def metrics_text(self) -> str:
         """The Prometheus exposition the ``/metrics`` endpoint serves."""
         from repro.obs.export import to_prometheus
 
-        self.sync_encoder_metrics()
         return to_prometheus(self.metrics)
 
     # ------------------------------------------------------------------

@@ -11,8 +11,8 @@ localhost by default.  Routes:
 - ``GET  /readyz``                readiness: a model version is active
 - ``GET  /metrics``               Prometheus exposition of the app registry
                                   (``serve.*``, ``rdap.*``, ``parse.*``
-                                  series, including the online
-                                  ``serve.encoder_cache_{hits,misses}``)
+                                  series, including the line-encoder
+                                  cache's ``parse.line_cache.*{level}``)
 
 Typed :mod:`repro.errors` rejections map to their ``http_status``
 (429 rate-limited, 503 overloaded/unavailable), so clients see the

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datagen.registrars import RateLimitSpec
 from repro.netsim.clock import SimClock
-from repro.netsim.crawler import WhoisCrawler
+from repro.netsim.crawler import MAX_ATTEMPTS, WhoisCrawler
 from repro.netsim.internet import SimulatedInternet
 from repro.netsim.servers import RegistrarServer
 
@@ -72,6 +72,23 @@ def test_crawler_rotates_vantage_points():
     results = [crawler.crawl_domain(d) for d in domains[:12]]
     ok = sum(r.status == "ok" for r in results)
     assert ok >= 9  # 3 IPs x 3 queries/window, plus paced retries
+
+
+def test_crawler_tries_each_vantage_once_up_to_three_queries():
+    """Section 4.1's retry: each source IP once, at most three queries
+    per lookup; a vantage backed off beyond ``max_wait`` is skipped
+    without using up an attempt."""
+    internet = SimulatedInternet(SimClock())  # no servers: queries drop
+    ips = tuple(f"10.0.0.{i}" for i in range(1, 6))
+    crawler = WhoisCrawler(internet, source_ips=ips)
+    first = crawler.crawl_domain("a.com")
+    assert first.error.attempts == MAX_ATTEMPTS == 3
+    assert crawler.stats.queries_sent == 3
+    # The first three vantages now wait penalty_guess (60 s), beyond
+    # max_wait (30 s): only the last two are tried.
+    second = crawler.crawl_domain("b.com")
+    assert second.error.attempts == 2
+    assert crawler.stats.queries_sent == 5
 
 
 def test_inferred_interval_grows_with_repeated_trips():

@@ -1,8 +1,8 @@
 """Property tests: a batch's objective equals the sum over its rows.
 
 Each row scored alone -- a batch of one, no padding -- is the
-per-sequence reference: padding, masking and chunking must not change
-what the whole batch computes.
+per-sequence reference: padding, masking and cutting the rows into
+several batches must not change what the whole batch computes.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.features import FeatureIndex, Sequence
 from repro.crf.objective import ParamView
@@ -47,7 +46,7 @@ def per_sequence_nll_grad(params, dataset, index, l2):
     nll, grad = 0.0, np.zeros_like(params)
     for row in dataset:
         row_nll, row_grad = batch_nll_grad(
-            params, EncodedBatch([row], index), index, 0.0
+            params, [EncodedBatch([row], index)], index, 0.0
         )
         nll += row_nll
         grad += row_grad
@@ -65,7 +64,7 @@ def test_batched_objective_matches_sequential(n_seqs, seed):
     params = rng.normal(scale=0.7, size=index.n_features)
     nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.4)
     batch = EncodedBatch(dataset, index)
-    nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.4)
+    nll_batch, grad_batch = batch_nll_grad(params, [batch], index, l2=0.4)
     assert nll_batch == pytest.approx(nll_seq, rel=1e-9, abs=1e-9)
     np.testing.assert_allclose(grad_batch, grad_seq, atol=1e-9)
 
@@ -80,9 +79,14 @@ def test_chunked_objective_matches_whole_batch(n_seqs, chunk, seed):
     rng = np.random.default_rng(seed)
     dataset, index = random_dataset(rng, n_seqs)
     params = rng.normal(scale=0.5, size=index.n_features)
-    batch = EncodedBatch(dataset, index)
-    whole = batch_nll_grad(params, batch, index, l2=0.2, chunk_size=10_000)
-    chunked = batch_nll_grad(params, batch, index, l2=0.2, chunk_size=chunk)
+    whole = batch_nll_grad(
+        params, [EncodedBatch(dataset, index)], index, l2=0.2
+    )
+    slices = [
+        EncodedBatch(dataset[start:start + chunk], index)
+        for start in range(0, n_seqs, chunk)
+    ]
+    chunked = batch_nll_grad(params, slices, index, l2=0.2)
     assert chunked[0] == pytest.approx(whole[0], rel=1e-10)
     np.testing.assert_allclose(chunked[1], whole[1], atol=1e-10)
 
@@ -94,14 +98,13 @@ def test_batched_log_partition_matches_per_sequence(seed):
     dataset, index = random_dataset(rng, 5)
     params = rng.normal(size=index.n_features)
     view = ParamView.of(params, index)
-    arena = TensorArena()
     batch = EncodedBatch(dataset, index)
-    emit, trans = batch.potentials(view, arena)
-    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    emit, trans = batch.potentials(view)
+    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
     for r, row in enumerate(dataset):
         single = EncodedBatch([row], index)
-        e, t = single.potentials(view, arena)
-        _a, _b, row_log_z = batch_forward_backward(single, e, t, arena)
+        e, t = single.potentials(view)
+        _a, _b, row_log_z = batch_forward_backward(single, e, t)
         assert log_z[r] == pytest.approx(row_log_z[0], rel=1e-9)
 
 
@@ -123,7 +126,7 @@ def test_batch_of_single_token_sequences():
     params = rng.normal(size=index.n_features)
     nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.0)
     batch = EncodedBatch(dataset, index)
-    nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.0)
+    nll_batch, grad_batch = batch_nll_grad(params, [batch], index, l2=0.0)
     assert nll_batch == pytest.approx(nll_seq)
     np.testing.assert_allclose(grad_batch, grad_seq, atol=1e-10)
 
@@ -144,6 +147,6 @@ def test_ragged_lengths_mask_padding_correctly():
     params = rng.normal(size=index.n_features)
     nll_seq, grad_seq = per_sequence_nll_grad(params, dataset, index, l2=0.0)
     batch = EncodedBatch(dataset, index)
-    nll_batch, grad_batch = batch_nll_grad(params, batch, index, l2=0.0)
+    nll_batch, grad_batch = batch_nll_grad(params, [batch], index, l2=0.0)
     assert nll_batch == pytest.approx(nll_seq, rel=1e-10)
     np.testing.assert_allclose(grad_batch, grad_seq, atol=1e-10)

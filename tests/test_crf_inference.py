@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch, batch_forward_backward
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence, FeatureIndex
@@ -81,9 +80,7 @@ def test_log_partition_matches_brute_force(params):
     batch, emit, trans, rows = random_batch(
         np.random.default_rng(seed), lengths, n_states
     )
-    _alpha, _beta, log_z = batch_forward_backward(
-        batch, emit, trans, TensorArena()
-    )
+    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
     for r, (e, t) in enumerate(rows):
         expected = logsumexp(list(brute_force_scores(e, t).values()))
         assert log_z[r] == pytest.approx(expected, rel=1e-9)
@@ -96,7 +93,7 @@ def test_viterbi_matches_brute_force_argmax(params):
     batch, emit, trans, rows = random_batch(
         np.random.default_rng(seed), lengths, n_states
     )
-    paths = batch_viterbi(batch, emit, trans, TensorArena())
+    paths = batch_viterbi(batch, emit, trans)
     for (e, t), path in zip(rows, paths):
         scores = brute_force_scores(e, t)
         best = max(scores, key=scores.get)
@@ -114,7 +111,7 @@ def test_node_marginals_match_brute_force(params):
     batch, emit, trans, rows = random_batch(
         np.random.default_rng(seed), lengths, n_states
     )
-    marginals = batch_marginals(batch, emit, trans, TensorArena())
+    marginals = batch_marginals(batch, emit, trans)
     for (e, t), got in zip(rows, marginals):
         scores = brute_force_scores(e, t)
         log_z = logsumexp(list(scores.values()))
@@ -133,9 +130,7 @@ def test_edge_marginals_match_brute_force(params):
     batch, emit, trans, rows = random_batch(
         np.random.default_rng(seed), lengths, n_states
     )
-    alpha, beta, log_z = batch_forward_backward(
-        batch, emit, trans, TensorArena()
-    )
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans)
     for r, (e, t) in enumerate(rows):
         n = len(e)
         scores = brute_force_scores(e, t)
@@ -155,9 +150,8 @@ def test_marginals_are_distributions(params):
     batch, emit, trans, _rows = random_batch(
         np.random.default_rng(seed), lengths, n_states
     )
-    arena = TensorArena()
-    node_rows = batch_marginals(batch, emit, trans, arena)
-    alpha, beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    node_rows = batch_marginals(batch, emit, trans)
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans)
     for r, (n, node) in enumerate(zip(lengths, node_rows)):
         assert node.shape == (n, n_states)
         assert np.all(node >= -1e-12)
@@ -174,9 +168,7 @@ def test_forward_backward_agree_on_partition():
     rng = np.random.default_rng(7)
     lengths = [12, 5, 1]
     batch, emit, trans, _rows = random_batch(rng, lengths, 6)
-    alpha, beta, log_z = batch_forward_backward(
-        batch, emit, trans, TensorArena()
-    )
+    alpha, beta, log_z = batch_forward_backward(batch, emit, trans)
     for r, n in enumerate(lengths):
         # alpha[t] + beta[t] must logsumexp to logZ at every position.
         per_position = logsumexp(alpha[r, :n] + beta[r, :n], axis=1)
@@ -187,12 +179,11 @@ def test_single_token_sequence():
     batch = ragged_batch([1], 3)
     emit = np.array([[[1.0, 2.0, 0.5]]])
     trans = np.zeros((1, 0, 3, 3))
-    arena = TensorArena()
-    assert batch_viterbi(batch, emit, trans, arena)[0].tolist() == [1]
-    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena)
+    assert batch_viterbi(batch, emit, trans)[0].tolist() == [1]
+    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
     assert log_z[0] == pytest.approx(logsumexp(emit[0, 0]))
     np.testing.assert_allclose(
-        batch_marginals(batch, emit, trans, arena)[0][0],
+        batch_marginals(batch, emit, trans)[0][0],
         np.exp(emit[0, 0] - logsumexp(emit[0, 0])),
     )
 
@@ -223,5 +214,5 @@ def test_viterbi_prefers_transition_structure():
     trans[..., 1, 0] = 5.0
     trans[..., 0, 0] = -5.0
     trans[..., 1, 1] = -5.0
-    path = batch_viterbi(batch, emit, trans, TensorArena())[0].tolist()
+    path = batch_viterbi(batch, emit, trans)[0].tolist()
     assert path in ([0, 1, 0, 1], [1, 0, 1, 0])

@@ -15,7 +15,7 @@ from repro.crf.objective import ParamView
 
 def nll_grad(params, dataset, index, l2):
     """The regularized objective over ``dataset`` as one batch."""
-    return batch_nll_grad(params, EncodedBatch(dataset, index), index, l2)
+    return batch_nll_grad(params, [EncodedBatch(dataset, index)], index, l2)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""The zero-copy hot path: mmap snapshots, warm encoder caches, arenas.
+"""The zero-copy hot path: mmap snapshots, warm encoder caches, decoding.
 
 Pins the three contracts the hot-path work rests on: (1) models loaded
 with ``mmap=True`` produce bit-identical outputs and pickle as tiny
 file descriptors (so spawned workers and hot-swaps share one physical
 weight copy), (2) the persistent line-encoder cache round-trips through
 disk, is rejected on vocabulary mismatch, and makes a restarted parser
-hit on its very first batch, and (3) arena-backed decoding reuses pooled
-buffers without any batch's returned paths or marginals aliasing them.
+hit on its very first batch, and (3) no batch's returned paths or
+marginals alias another batch's.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import sys
 import threading
 from pathlib import Path
 
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.objective import ParamView
@@ -77,7 +77,7 @@ def test_mmap_parse_outputs_bit_identical(world):
     assert mapped.label_lines_many(texts[:10]) == eager.label_lines_many(
         texts[:10]
     )
-    # The bulk path (arena-backed internally) equals per-record parses.
+    # The bulk path equals per-record parses.
     assert mapped.parse_many(texts[:10]) == [
         eager.parse(text) for text in texts[:10]
     ]
@@ -198,6 +198,12 @@ def test_registry_evicts_superseded_mappings(world, tmp_path):
 # ----------------------------------------------------------------------
 
 
+def _cache_hits(parser) -> int:
+    return sum(
+        encoder.hits for encoder in parser._encoders() if encoder is not None
+    )
+
+
 def test_encoder_cache_roundtrip_warm_first_batch(world, tmp_path):
     _parser, texts, model_dir = world
     warm = WhoisParser.load(model_dir)
@@ -212,15 +218,14 @@ def test_encoder_cache_roundtrip_warm_first_batch(world, tmp_path):
     block_encoder, _ = restarted._encoders()
     assert block_encoder.warm_entries == written
     parsed = restarted.parse_many(texts[:10])
-    hits, _misses = restarted.encoder_cache_totals()
+    hits = _cache_hits(restarted)
     assert hits > 0  # warm on the very first batch
     assert parsed == warm.parse_many(texts[:10])
 
     # A restart that skips the cache file hits strictly less.
     cold = WhoisParser.load(model_dir)
     cold.parse_many(texts[:10])
-    cold_hits, _ = cold.encoder_cache_totals()
-    assert hits > cold_hits
+    assert hits > _cache_hits(cold)
 
 
 def test_encoder_cache_rejected_on_fingerprint_mismatch(world, tmp_path):
@@ -246,15 +251,12 @@ def test_encoder_cache_rejected_on_fingerprint_mismatch(world, tmp_path):
 
 
 def _encoder_caches(parser):
-    return [
-        (encoder._lines, encoder._ctx, encoder._labelable)
-        for encoder in parser._encoders()
-    ]
+    return [(encoder._lines, encoder._ctx) for encoder in parser._encoders()]
 
 
 def _assert_cold(parser):
-    for lines, ctx, labelable in _encoder_caches(parser):
-        assert lines == {} and ctx == {} and labelable == {}
+    for lines, ctx in _encoder_caches(parser):
+        assert lines == {} and ctx == {}
 
 
 @pytest.fixture()
@@ -275,7 +277,7 @@ def test_encoder_cache_file_round_trips_exactly(world, saved_cache):
     restarted = WhoisParser.load(model_dir)
     assert restarted.load_encoder_cache(path) > 0
     assert _encoder_caches(restarted) == _encoder_caches(warm)
-    for (lines, _ctx, _labelable), encoder in zip(
+    for (lines, _ctx), encoder in zip(
         _encoder_caches(restarted), restarted._encoders()
     ):
         assert all(type(i) is int for obs, _e, _i, _h in lines.values()
@@ -304,6 +306,36 @@ def test_encoder_cache_keys_round_trip_any_string(world, tmp_path):
     assert set(odd) <= set(restarted._encoders()[0]._lines)
 
 
+def test_encoder_cache_file_with_labelability_arrays_still_loads(
+    world, saved_cache, tmp_path
+):
+    # Files written when the encoders also memoized labelability carry
+    # three more arrays per level; the reader never asks for them.
+    from repro.parser.bulk import _pack_strings
+
+    _parser, _texts, model_dir = world
+    warm, path = saved_cache
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    for level, encoder in zip(("block", "registrant"), warm._encoders()):
+        keys = list(encoder._lines) + ["", "   ", "-----%%%-----"]
+        flags = [True] * len(encoder._lines) + [False] * 3
+        blob, lengths = _pack_strings(keys)
+        arrays[f"{level}.labelable"] = blob
+        arrays[f"{level}.labelable_lengths"] = lengths
+        arrays[f"{level}.labelable_flags"] = np.array(flags, dtype=np.bool_)
+    legacy = tmp_path / "with-labelability"
+    with legacy.open("wb") as handle:
+        np.savez(handle, **arrays)
+
+    current = WhoisParser.load(model_dir)
+    restarted = WhoisParser.load(model_dir)
+    assert restarted.load_encoder_cache(legacy) == (
+        current.load_encoder_cache(path)
+    ) > 0
+    assert _encoder_caches(restarted) == _encoder_caches(warm)
+
+
 def test_encoder_cache_loads_into_a_warm_encoder_under_its_cap(
     world, saved_cache
 ):
@@ -320,24 +352,22 @@ def test_encoder_cache_loads_into_a_warm_encoder_under_its_cap(
     )
     parser.parse_many(texts[:1])
     before = [
-        (dict(lines), dict(ctx), dict(labelable))
-        for lines, ctx, labelable in _encoder_caches(parser)
+        (dict(lines), dict(ctx)) for lines, ctx in _encoder_caches(parser)
     ]
-    assert all(0 < len(lines) < cap for lines, _ctx, _lab in before)
+    assert all(0 < len(lines) < cap for lines, _ctx in before)
 
     loaded = parser.load_encoder_cache(path)
-    for (lines, ctx, labelable), old, encoder in zip(
+    for (lines, ctx), old, encoder in zip(
         _encoder_caches(parser), before, parser._encoders()
     ):
-        old_lines, old_ctx, old_labelable = old
+        old_lines, old_ctx = old
         # The file holds more lines than fit: the cap holds exactly.
-        assert len(lines) == len(labelable) == cap
+        assert len(lines) == cap
         assert encoder.warm_entries == cap - len(old_lines)
         # Entries already cached are kept, not replaced by the file's.
         assert all(lines[key] is value for key, value in old_lines.items())
         assert old_ctx.items() <= ctx.items()
-        assert old_labelable.items() <= labelable.items()
-    assert loaded == sum(cap - len(old) for old, _ctx, _lab in before)
+    assert loaded == sum(cap - len(old) for old, _ctx in before)
     assert parser.parse_many(texts) == WhoisParser.load(model_dir).parse_many(
         texts
     )
@@ -443,8 +473,7 @@ def test_encoder_cache_full_counter_surfaces(world, clean_registry):
     assert block_encoder.cache_full_skips > 0
     # Cached lines keep hitting even once insertion has stopped.
     parser.parse_many(texts[:10])
-    hits, _misses = parser.encoder_cache_totals()
-    assert hits > 0
+    assert _cache_hits(parser) > 0
 
 
 def test_line_encoder_drain_includes_full_skips(world):
@@ -460,32 +489,54 @@ def test_line_encoder_drain_includes_full_skips(world):
     assert encoder.drain_cache_stats() == (0, 0, 0)  # deltas, not totals
 
 
+def test_line_cache_counters_add_up_under_concurrent_batches(
+    world, clean_registry
+):
+    # The parse and RDAP batchers' executor threads can run parse_many
+    # on one parser at once; each call drains its encoders' deltas into
+    # the registry.  No lookup may be lost or counted twice.
+    _parser, texts, model_dir = world
+    parser = WhoisParser.load(model_dir)
+    failures: list[Exception] = []
+
+    def hammer(offset: int) -> None:
+        try:
+            for start in range(offset, len(texts) - 1, 2):
+                for _ in range(3):
+                    parser.parse_many(texts[start:start + 2])
+        except Exception as exc:  # asserted on in the test's thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(offset,))
+            for offset in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    for encoder, level in zip(parser._encoders(), ("block", "registrant")):
+        counted = clean_registry.counter_value(
+            "parse.line_cache.hits", level=level
+        ) + clean_registry.counter_value(
+            "parse.line_cache.misses", level=level
+        )
+        assert counted == encoder.hits + encoder.misses > 0
+
+
 # ----------------------------------------------------------------------
-# Tensor arenas
+# Decoded results
 # ----------------------------------------------------------------------
 
 
-def test_arena_reuses_and_grows_buffers():
-    arena = TensorArena()
-    first = arena.take("x", (4, 5))
-    first[:] = 7.0
-    assert arena.allocations == 1
-    second = arena.take("x", (2, 3))  # fits: reuse, no allocation
-    assert arena.allocations == 1 and arena.takes == 2
-    assert second.shape == (2, 3)
-    third = arena.take("x", (100,))  # outgrows: one realloc
-    assert arena.allocations == 2
-    assert third.shape == (100,)
-    zeroed = arena.zeros("y", (3, 3))
-    assert not zeroed.any()
-    filled = arena.full("z", (2, 2), -1.0)
-    assert (filled == -1.0).all()
-    assert arena.nbytes > 0
-    arena.clear()
-    assert arena.nbytes == 0
-
-
-def test_arena_results_do_not_alias_across_batches(world):
+def test_decode_results_do_not_alias_across_batches(world):
     parser, texts, _model_dir = world
     crf = parser.block_crf
     encoder, _ = parser._encoders()
@@ -497,27 +548,23 @@ def test_arena_results_do_not_alias_across_batches(world):
         )
         for part in (texts[:8], texts[8:20])
     )
-    arena = TensorArena()
 
     def decode(batch):
-        emit, trans = batch.potentials(view, arena)
+        emit, trans = batch.potentials(view)
         return (
-            batch_viterbi(batch, emit, trans, arena),
-            batch_marginals(batch, emit, trans, arena),
+            batch_viterbi(batch, emit, trans),
+            batch_marginals(batch, emit, trans),
         )
 
     labels1, marginals1 = decode(first)
     kept = ([p.copy() for p in labels1], [m.copy() for m in marginals1])
-    decode(second)  # reuses (and may outgrow) the same buffers
+    decode(second)
     for expected, got in zip(kept[0], labels1):
         np.testing.assert_array_equal(expected, got)
     for expected, got in zip(kept[1], marginals1):
         np.testing.assert_array_equal(expected, got)
-    # Decoding batch 1 again is bit-identical and, since buffers never
-    # shrink, allocates nothing.
-    allocations = arena.allocations
+    # Decoding batch 1 again is bit-identical.
     labels_again, marginals_again = decode(first)
-    assert arena.allocations == allocations  # steady state
     for expected, got in zip(kept[0], labels_again):
         np.testing.assert_array_equal(expected, got)
     for expected, got in zip(kept[1], marginals_again):

@@ -289,7 +289,7 @@ def test_char_analysis_has_no_layout():
 def _cache_values(encoder):
     for cache in (
         encoder._profiles, encoder._lines, encoder._ctx,
-        encoder._labelable, encoder._ctx_obs_ids, encoder._ctx_edge_ids,
+        encoder._ctx_obs_ids, encoder._ctx_edge_ids,
     ):
         yield from cache.values()
 

@@ -282,6 +282,21 @@ def test_warm_retrain_fixes_new_family(world):
     assert evaluate_parser(parser, unseen).line_error_rate == before
 
 
+def test_cold_retrain_keeps_the_template_domain():
+    from repro.domain import get_domain
+
+    corpus = get_domain("syslog").generator(seed=41).labeled_corpus(20)
+    template = WhoisParser(
+        domain="syslog", l2=0.1, max_iterations=30, unk_min_count=2
+    ).fit(corpus)
+    fresh, report = WarmStartRetrainer.cold_retrain(template, corpus)
+    assert fresh.spec.name == "syslog"
+    assert fresh._unk_min_count == 2
+    assert not report.warm and report.n_new == len(corpus)
+    parsed = fresh.parse_many([record.text for record in corpus])
+    assert len(parsed) == len(corpus)
+
+
 # ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------

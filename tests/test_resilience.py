@@ -25,7 +25,6 @@ from repro.rdap.server import RdapGateway
 from repro.resilience import (
     BreakerPolicy,
     CircuitBreaker,
-    Hedge,
     RecordGate,
     RetryPolicy,
 )
@@ -133,24 +132,6 @@ def test_retry_policy_validates():
         RetryPolicy(base_delay=-1.0)
     with pytest.raises(ValueError):
         RetryPolicy(jitter=1.0)
-
-
-# ----------------------------------------------------------------------
-# Hedge
-# ----------------------------------------------------------------------
-
-
-def test_hedge_plan_escalates_across_vantages():
-    ips = ("10.0.0.1", "10.0.0.2")
-    assert list(Hedge(attempts_per_vantage=1).plan(ips)) == list(ips)
-    assert list(Hedge(attempts_per_vantage=2).plan(ips)) == [
-        "10.0.0.1", "10.0.0.1", "10.0.0.2", "10.0.0.2",
-    ]
-
-
-def test_hedge_validates():
-    with pytest.raises(ValueError):
-        Hedge(max_attempts=0)
 
 
 # ----------------------------------------------------------------------
