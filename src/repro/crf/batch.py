@@ -11,6 +11,13 @@ a batch of ``R`` sequences padded to length ``T``:
   tokens ``t`` and ``t+1`` for the label pair ``(i, j)`` -- the log of
   the matrix ``M_t`` of eq. (9).
 
+Both sums are sparse: each batch holds two 0/1 design matrices (scipy
+CSR, one row per token or transition slot, one column per attribute
+id), so the potentials are ``A_obs @ W_obs`` and ``A_edge @ W_edge`` and
+the objective's feature expectations are ``A.T @ marginals``.  Each
+product adds a row's or a column's entries in occurrence order, the
+order the attribute ids arrive in.
+
 Training on corpora of hundreds or thousands of WHOIS records (each 20-80
 lines) and decoding survey-scale batches both need the recursions
 batched across records: the per-timestep updates run as dense numpy ops
@@ -24,6 +31,7 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.crf.objective import ParamView
@@ -44,29 +52,31 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _scatter_rows(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``out[idx] += values`` with repeated indices, via per-column bincount.
+def _design_matrix(counts: np.ndarray, ids: np.ndarray, n_ids: int) -> csr_array:
+    """0/1 CSR matrix whose row ``i`` holds the next ``counts[i]`` of ``ids``.
 
-    ``np.add.at`` handles the duplicate-index accumulation but runs one
-    Python-level inner loop per occurrence; ``np.bincount`` does the same
-    reduction in C per column, which is several times faster at the
-    occurrence counts the batched potentials see.
+    Entries keep their order in ``ids``, so a product sums each row's
+    (or, transposed, each column's) terms in occurrence order.
     """
-    n = out.shape[0]
-    for k in range(out.shape[1]):
-        out[:, k] += np.bincount(idx, weights=values[:, k], minlength=n)
+    if ids.size and int(ids.max()) >= n_ids:
+        raise ValueError(f"attribute id {int(ids.max())} outside 0..{n_ids - 1}")
+    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return csr_array(
+        (np.ones(len(ids)), ids, indptr), shape=(len(counts), n_ids)
+    )
 
 
 class EncodedBatch:
-    """A set of sequences flattened into scatter/gather index arrays.
+    """A set of sequences padded to one length, with sparse design matrices.
 
     For ``R`` sequences padded to length ``T``:
 
-    - ``obs_rt``/``obs_a``: one entry per (token, attribute) occurrence;
-      ``obs_rt`` indexes the flattened ``(R*T)`` token axis.
-    - ``edge_rt``/``edge_a``: likewise for edge attributes at positions
-      ``t >= 1`` (indexing transition slot ``t-1`` on the ``(R*(T-1))``
-      axis).
+    - ``obs_matrix``: ``(R*T, A)`` CSR, a 1 for every observation
+      attribute of every token; row ``r*T + t`` is record ``r``'s token
+      ``t``, and padding rows are empty.
+    - ``edge_matrix``: ``(R*(T-1), E)`` CSR, likewise for the edge
+      attributes of positions ``t >= 1``, on transition slot ``t-1``.
     - ``labels``: ``(R, T)`` int array, ``-1`` on padding.
     - ``lengths``: ``(R,)``.
 
@@ -80,7 +90,7 @@ class EncodedBatch:
         dataset: list[tuple[EncodedSequence, list[int] | None]],
         index: FeatureIndex,
     ) -> None:
-        """Pad and pack ``dataset`` into dense batch arrays."""
+        """Pad ``dataset`` and build its two design matrices."""
         if not dataset:
             raise ValueError("empty dataset")
         self.n_states = index.n_states
@@ -89,21 +99,20 @@ class EncodedBatch:
             raise ValueError("empty sequence in batch")
         n_records = len(dataset)
         t_max = int(self.lengths.max())
+        t1 = max(t_max - 1, 0)
         self.n_records, self.t_max = n_records, t_max
         self.labels = np.full((n_records, t_max), -1, dtype=np.intp)
-        # Flattened occurrence arrays.  Observation ids come pre-packed from
-        # each sequence (flat array + per-token counts), so the batch-level
-        # arrays reduce to two concatenations and one vectorized repeat
-        # over the whole batch -- no per-token (or even per-record) numpy
-        # call on the bulk-decode hot path.  Edge id lists stay
-        # list-shaped: they are sparse (block boundaries only) and the
-        # per-record loop over them is cheap.
+        # Observation ids come pre-packed from each sequence (flat array
+        # + per-token counts), so the batch's matrix needs two
+        # concatenations and one scatter of the counts onto the padded
+        # rows -- no per-token numpy call on the bulk-decode hot path.
+        # Edge id lists stay list-shaped: they are sparse (block
+        # boundaries only) and the per-record loop over them is cheap.
         obs_flat_parts: list[np.ndarray] = []
         obs_count_parts: list[np.ndarray] = []
         edge_pos: list[int] = []
         edge_counts: list[int] = []
         edge_lists: list[list[int]] = []
-        t_edge = t_max - 1 if t_max > 1 else 1
         for r, (seq, labels) in enumerate(dataset):
             if labels is not None:
                 if len(labels) != len(seq):
@@ -114,10 +123,9 @@ class EncodedBatch:
             obs_flat, obs_counts = seq.packed_obs()
             obs_flat_parts.append(obs_flat)
             obs_count_parts.append(obs_counts)
-            base = r * t_edge
             for t, ids in enumerate(seq.edge_ids):
                 if t and ids:
-                    edge_pos.append(base + t - 1)
+                    edge_pos.append(r * t1 + t - 1)
                     edge_counts.append(len(ids))
                     edge_lists.append(ids)
         # Flattened (R*T) position of every real token: record r's token t
@@ -131,14 +139,21 @@ class EncodedBatch:
         token_pos = np.repeat(row_offset, self.lengths) + np.arange(
             n_tokens, dtype=np.intp
         )
-        self.obs_rt = np.repeat(token_pos, np.concatenate(obs_count_parts))
-        self.obs_a = np.concatenate(obs_flat_parts)
-        self.edge_rt = np.repeat(
-            np.asarray(edge_pos, dtype=np.intp),
-            np.asarray(edge_counts, dtype=np.intp),
+        obs_counts = np.zeros(n_records * t_max, dtype=np.intp)
+        obs_counts[token_pos] = np.concatenate(obs_count_parts)
+        self.obs_matrix = _design_matrix(
+            obs_counts, np.concatenate(obs_flat_parts), index.n_obs
         )
-        self.edge_a = np.fromiter(
-            chain.from_iterable(edge_lists), dtype=np.intp, count=len(self.edge_rt)
+        edge_slot_counts = np.zeros(n_records * t1, dtype=np.intp)
+        edge_slot_counts[edge_pos] = edge_counts
+        self.edge_matrix = _design_matrix(
+            edge_slot_counts,
+            np.fromiter(
+                chain.from_iterable(edge_lists),
+                dtype=np.intp,
+                count=sum(edge_counts),
+            ),
+            index.n_edge,
         )
         # Masks of valid tokens and of valid transitions (t < length-1).
         steps = np.arange(t_max)
@@ -162,23 +177,14 @@ class EncodedBatch:
         """
         n_r, t_max, n_s = self.n_records, self.t_max, self.n_states
         t1 = max(t_max - 1, 0)
-        emit = np.zeros((n_r * t_max, n_s))
-        if self.obs_a.size:
-            _scatter_rows(emit, self.obs_rt, view.obs[self.obs_a])
-        emit = emit.reshape(n_r, t_max, n_s)
+        emit = (self.obs_matrix @ view.obs).reshape(n_r, t_max, n_s)
         emit[:, 0, :] += view.start[None, :]
-        # Padding tokens get -inf emissions except state 0, so they
-        # contribute a fixed additive constant we cancel explicitly: instead
-        # we simply never read alpha past each sequence's length.
-        if not self.edge_a.size:
+        # Padding rows of the matrices are empty, so padded tokens score
+        # 0; the recursions never read past each sequence's length.
+        if not self.edge_matrix.nnz:
             return emit, np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
-        trans = np.empty((n_r * t1, n_s, n_s))
-        trans[:] = view.trans
-        _scatter_rows(
-            trans.reshape(len(trans), -1),
-            self.edge_rt,
-            view.edge[self.edge_a].reshape(len(self.edge_a), -1),
-        )
+        trans = self.edge_matrix @ view.edge.reshape(len(view.edge), n_s * n_s)
+        trans += view.trans.reshape(1, n_s * n_s)
         return emit, trans.reshape(n_r, t1, n_s, n_s)
 
     def observed_score(self, emit: np.ndarray, trans: np.ndarray) -> float:
@@ -272,9 +278,7 @@ def _batch_nll_grad(
     node[r_idx, t_idx, batch.labels[r_idx, t_idx]] -= 1.0
 
     grad_view.start += node[:, 0, :].sum(axis=0)
-    node_flat = node.reshape(-1, n_s)
-    if batch.obs_a.size:
-        np.add.at(grad_view.obs, batch.obs_a, node_flat[batch.obs_rt])
+    grad_view.obs += batch.obs_matrix.T @ node.reshape(-1, n_s)
 
     if batch.t_max > 1:
         edges = np.exp(
@@ -291,7 +295,8 @@ def _batch_nll_grad(
             batch.labels[r_idx, t_idx + 1],
         ] -= 1.0
         grad_view.trans += edges.sum(axis=(0, 1))
-        if batch.edge_a.size:
-            edges_flat = edges.reshape(-1, n_s, n_s)
-            np.add.at(grad_view.edge, batch.edge_a, edges_flat[batch.edge_rt])
+        if batch.edge_matrix.nnz:
+            grad_view.edge += (
+                batch.edge_matrix.T @ edges.reshape(-1, n_s * n_s)
+            ).reshape(-1, n_s, n_s)
     return nll

@@ -145,10 +145,11 @@ class RecordGate:
 
 class _BatchScores:
     """What :func:`screen_and_parse` hands :meth:`RecordGate.inspect` as
-    the parser: the first ``line_confidences`` call scores the whole
-    batch with one ``line_confidences_many`` pass, later calls read the
-    stored scores.  A gate without a confidence floor never asks, so it
-    triggers no scoring at all."""
+    the parser: the first ``line_confidences`` call scores every text of
+    the batch that passed the gate's structural check with one
+    ``line_confidences_many`` pass, later calls read the stored scores.
+    A gate without a confidence floor never asks, so it triggers no
+    scoring at all."""
 
     def __init__(self, score_many, texts: list[str]) -> None:
         self._score_many = score_many
@@ -172,29 +173,33 @@ def screen_and_parse(
 
     Returns ``(admitted, rejected)``: ``(index, parsed record)`` for every
     record the gate admits and ``(index, error)`` for every one it
-    rejects, each in input order.  The gate sees only ``inspect``; when
-    the parser has ``line_confidences_many`` the whole batch is scored
-    in one pass on the first confidence check, and ``parse_many`` over
-    the admitted records then finds their lines in the line cache that
-    scoring filled.  Parsers with only a per-record ``line_confidences``
-    are asked per record, and parsers with neither pass the confidence
+    rejects, each in input order.  The gate sees only ``inspect``, in
+    two passes: without a parser over the whole batch (its structural
+    check), then with one over the records that passed.  When the parser
+    has ``line_confidences_many`` those records are scored in one pass on
+    the first confidence check, so structural rejects (empty, garbled,
+    short) are never scored, and ``parse_many`` over the admitted
+    records then finds their lines in the line cache that scoring
+    filled.  Parsers with only a per-record ``line_confidences`` are
+    asked per record, and parsers with neither pass the confidence
     check.
     """
     records = list(records)
     rejected: list[tuple[int, CrawlError]] = []
     keep = list(range(len(records)))
     if gate is not None:
+        verdicts = [gate.inspect(domain, text) for domain, text in records]
+        passed = [i for i, error in enumerate(verdicts) if error is None]
         score_many = getattr(parser, "line_confidences_many", None)
         scorer = (
             parser if score_many is None
-            else _BatchScores(score_many, [text for _, text in records])
+            else _BatchScores(score_many, [records[i][1] for i in passed])
         )
-        keep = []
-        for i, (domain, text) in enumerate(records):
-            error = gate.inspect(domain, text, scorer)
-            if error is None:
-                keep.append(i)
-            else:
-                rejected.append((i, error))
+        for i in passed:
+            verdicts[i] = gate.inspect(*records[i], scorer)
+        keep = [i for i, error in enumerate(verdicts) if error is None]
+        rejected = [
+            (i, error) for i, error in enumerate(verdicts) if error is not None
+        ]
     parsed = parser.parse_many([records[i][1] for i in keep])
     return list(zip(keep, parsed)), rejected

@@ -7,7 +7,8 @@ rows (the thick record, with the thin record's registrar as a hint),
 and :func:`sharded_ingest` runs them through one body,
 :func:`_ingest_inline`: gate and parse
 (:func:`~repro.resilience.screen_and_parse`: one scoring pass over the
-batch, then one parse of the admitted records), normalize, and write
+batch's structurally sound records, then one parse of the admitted
+records), normalize, and write
 -- the ``audioscavenger/whoisd`` shape of bulk ingest into a real
 database.
 

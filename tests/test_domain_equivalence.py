@@ -10,7 +10,9 @@
   at three confidence floors plus each record's mean and tail line
   confidence, over clean and netsim-damaged WHOIS records; verdicts must
   match exactly and confidences to 1e-9, whether the gate scores one
-  record at a time or a whole batch at once;
+  record at a time or a whole batch at once.  The confidences carry the
+  fit's last bits; the fit runs on one BLAS thread, so they hold under
+  any ``OPENBLAS_NUM_THREADS``;
 - the encoding fixture holds the bulk line encoder's per-line profiles
   (attribute ids in order, indentation, headword) over WHOIS and syslog
   records and its packed char-path encodings over citations records;

@@ -340,6 +340,70 @@ def test_gate_confidence_check_is_optional():
     ) is None
 
 
+class _CountingBulkParser(_StubParser):
+    """A bulk stub that records every text it is asked to score or parse."""
+
+    def __init__(self, confidences):
+        super().__init__(confidences)
+        self.scored: list[str] = []
+        self.parsed: list[str] = []
+
+    def line_confidences_many(self, texts):
+        self.scored.extend(texts)
+        return [self.line_confidences(text) for text in texts]
+
+    def parse_many(self, texts):
+        self.parsed.extend(texts)
+        return [f"parsed:{text[:8]}" for text in texts]
+
+
+class _InspectOnly:
+    """A gate stand-in exposing only ``inspect``, as wrappers that time
+    the gate's checks do."""
+
+    def __init__(self, gate):
+        self.inspect = gate.inspect
+
+
+@pytest.mark.parametrize("wrap", [lambda gate: gate, _InspectOnly])
+def test_screen_and_parse_scores_only_structurally_sound_records(wrap):
+    from repro.resilience import screen_and_parse
+
+    garbled = CLEAN_RECORD.replace("Registrar", "Reg\x00\x01�str�r")
+    records = [
+        ("a.com", CLEAN_RECORD),
+        ("b.com", None),
+        ("c.com", "   \n"),
+        ("d.com", garbled),
+        ("e.com", "Domain Name: e.com"),
+        ("f.com", CLEAN_RECORD),
+    ]
+    gate = RecordGate(min_mean_confidence=0.8)
+    parser = _CountingBulkParser([0.99] * 5)
+    admitted, rejected = screen_and_parse(wrap(gate), parser, records)
+    # One scoring pass over the distinct texts that passed the structural
+    # check; the rejects were never scored.
+    assert parser.scored == [CLEAN_RECORD]
+    assert [i for i, _parsed in admitted] == [0, 5]
+    assert parser.parsed == [CLEAN_RECORD, CLEAN_RECORD]
+    # The verdicts are RecordGate.inspect's, record by record.
+    assert [i for i, _error in rejected] == [1, 2, 3, 4]
+    for i, error in rejected:
+        expected = gate.inspect(*records[i], _StubParser([0.99] * 5))
+        assert type(error) is type(expected) and str(error) == str(expected)
+
+
+def test_screen_and_parse_scores_nothing_when_all_are_rejected():
+    from repro.resilience import screen_and_parse
+
+    parser = _CountingBulkParser([0.99] * 5)
+    admitted, rejected = screen_and_parse(
+        RecordGate(min_mean_confidence=0.8), parser, [("a.com", "")]
+    )
+    assert admitted == [] and [i for i, _error in rejected] == [0]
+    assert parser.scored == [] and parser.parsed == []
+
+
 # ----------------------------------------------------------------------
 # CrawlStats
 # ----------------------------------------------------------------------

@@ -25,7 +25,12 @@ same pipeline run on the current code:
   records (the char path).
 
 The parse and encoding fixtures must be reproduced byte for byte; the
-gate fixture's verdicts exactly and its confidences to 1e-9.
+gate fixture's verdicts exactly and its confidences to 1e-9.  Every
+fixture fits its parser through :class:`~repro.crf.train.LBFGSTrainer`,
+which runs the fit on one BLAS thread, so the fitted floats -- and the
+files -- are the same whatever ``OPENBLAS_NUM_THREADS`` is set to.  (The
+gate fixture is the one whose confidences move with the fit's last
+bits; it is frozen from a one-thread fit.)
 
 Usage::
 
