@@ -11,8 +11,8 @@ import pytest
 from conftest import emit
 
 from repro.crf.batch import EncodedBatch, batch_nll_grad
-from repro.crf.features import FeatureIndex
 from repro.datagen import CorpusConfig, CorpusGenerator
+from repro.parser.bulk import fit_encoder
 from repro.whois.features import WhoisFeaturizer
 from repro.whois.labels import BLOCK_LABELS
 
@@ -22,12 +22,13 @@ def encoded_world():
     generator = CorpusGenerator(CorpusConfig(seed=42))
     corpus = generator.labeled_corpus(200)
     featurizer = WhoisFeaturizer()
-    sequences = [featurizer.featurize_lines(r.raw_lines) for r in corpus]
-    labels = [r.block_labels for r in corpus]
-    index = FeatureIndex(BLOCK_LABELS).build(sequences)
+    encoder = fit_encoder(
+        featurizer, BLOCK_LABELS, [r.raw_lines for r in corpus]
+    )
+    index = encoder.index
     dataset = [
-        (index.encode(s), index.encode_labels(l))
-        for s, l in zip(sequences, labels)
+        (encoder.encode_record(r.raw_lines), index.encode_labels(r.block_labels))
+        for r in corpus
     ]
     batch = EncodedBatch(dataset, index)
     rng = np.random.default_rng(0)

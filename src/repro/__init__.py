@@ -13,14 +13,13 @@ The package is organized as::
 The most common entry points are re-exported here.
 """
 
-from repro.crf import ChainCRF, Sequence
+from repro.crf import ChainCRF
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ChainCRF",
     "CorpusGenerator",
-    "Sequence",
     "WhoisParser",
     "__version__",
 ]

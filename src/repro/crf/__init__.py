@@ -9,15 +9,17 @@ estimation.  Every recursion runs
 batched over padded sequences (:mod:`repro.crf.batch`,
 :mod:`repro.crf.decode`); a single sequence is a batch of one.
 
-The public entry point is :class:`ChainCRF`, which consumes sequences of
-*attribute lists* (one list of string attributes per token) and label
-sequences, and learns binary features of the two forms used by the paper:
+The public entry point is :class:`ChainCRF`, which consumes *encoded*
+sequences (:class:`EncodedSequence`: per token, the ids a
+:class:`FeatureIndex` gives its attributes) and label sequences, and
+learns binary features of the two forms used by the paper:
 ``f(y_t, x_t)`` observation features and ``f(y_{t-1}, y_t, x_t)``
-transition features.
+transition features.  The package holds no text: the parser's
+:class:`~repro.parser.bulk.LineEncoder` builds the index and the
+sequences from records, for training and inference alike.
 """
 
-from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
-from repro.crf.analysis import ModelSummary, model_summary, prune, top_weight_share
+from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.model import ChainCRF
@@ -26,18 +28,13 @@ from repro.crf.train import LBFGSTrainer, TrainLog, TrainerState
 __all__ = [
     "ChainCRF",
     "EncodedBatch",
-    "ModelSummary",
     "batch_forward_backward",
     "batch_marginals",
     "batch_nll_grad",
     "batch_viterbi",
-    "model_summary",
-    "prune",
-    "top_weight_share",
     "EncodedSequence",
     "FeatureIndex",
     "LBFGSTrainer",
-    "Sequence",
     "TrainLog",
     "TrainerState",
 ]

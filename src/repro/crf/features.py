@@ -19,42 +19,17 @@ model as eq. (2) of the paper, just stored compactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence as TypingSequence
+from typing import Sequence
 
 import numpy as np
 
 
-@dataclass
-class Sequence:
-    """One training/inference instance: per-token attribute lists.
-
-    ``obs[t]`` holds the attributes whose observation features may fire at
-    token ``t``; ``edge[t]`` holds the attributes whose transition features
-    may fire on the edge *into* token ``t`` (``edge[0]`` is ignored, since
-    the first token has no predecessor -- see the paper's footnote on
-    features that do not depend on ``y_{t-1}``).
-    """
-
-    obs: list[list[str]]
-    edge: list[list[str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.edge:
-            self.edge = [[] for _ in self.obs]
-        if len(self.edge) != len(self.obs):
-            raise ValueError(
-                f"edge attribute list length {len(self.edge)} does not match "
-                f"observation length {len(self.obs)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.obs)
-
-
 class EncodedSequence:
-    """A :class:`Sequence` with attributes resolved to integer ids.
+    """One instance: ``obs_ids[t]``, the attribute ids of token ``t``'s
+    observation features, and ``edge_ids[t]``, those of the transition
+    into it (``edge_ids[0]`` is ignored: the paper's footnote on
+    features without ``y_{t-1}``).
 
     Observation ids are stored *packed* -- all ids concatenated, plus
     per-token counts -- the form :class:`~repro.crf.batch.EncodedBatch`
@@ -71,6 +46,10 @@ class EncodedSequence:
         self, obs_ids: list[list[int]], edge_ids: list[list[int]]
     ) -> None:
         """Pack per-token observation id lists."""
+        if len(edge_ids) != len(obs_ids):
+            raise ValueError(
+                f"{len(edge_ids)} edge id lists for {len(obs_ids)} tokens"
+            )
         self.edge_ids = edge_ids
         self._obs_counts = np.fromiter(
             (len(ids) for ids in obs_ids), dtype=np.intp, count=len(obs_ids)
@@ -124,82 +103,30 @@ class EncodedSequence:
 class FeatureIndex:
     """Maps string attributes and labels to dense integer ids.
 
-    The index is built once from a training corpus (with optional trimming
-    of attributes that occur fewer than ``min_count`` times, mirroring the
-    paper's dictionary trimming) and is then frozen: unknown attributes
+    The vocabularies are built from a training corpus by the parser's
+    encoder (:func:`repro.parser.bulk.fit_encoder`, which also trims
+    attributes seen fewer than ``min_count`` times, mirroring the paper's
+    dictionary trimming) and are then frozen: unknown attributes
     encountered at parse time are simply dropped, which is exactly the
     behaviour of a binary feature that never fires.
     """
 
     def __init__(
         self,
-        labels: TypingSequence[str],
+        labels: Sequence[str],
         *,
-        min_count: int = 1,
-        min_edge_count: int = 1,
+        obs_vocab: dict[str, int] | None = None,
+        edge_vocab: dict[str, int] | None = None,
     ) -> None:
-        """Index over ``labels`` with count-threshold trimming knobs."""
+        """Index over ``labels`` and the given attribute vocabularies."""
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in state space")
         if not labels:
             raise ValueError("label space must be non-empty")
         self.labels: tuple[str, ...] = tuple(labels)
         self.label_ids: dict[str, int] = {y: i for i, y in enumerate(self.labels)}
-        self.min_count = min_count
-        self.min_edge_count = min_edge_count
-        self.obs_vocab: dict[str, int] = {}
-        self.edge_vocab: dict[str, int] = {}
-        self._frozen = False
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def build(self, sequences: Iterable[Sequence]) -> "FeatureIndex":
-        """Scan ``sequences``, count attributes, and freeze the vocabularies."""
-        if self._frozen:
-            raise RuntimeError("FeatureIndex is already frozen")
-        obs_counts: dict[str, int] = {}
-        edge_counts: dict[str, int] = {}
-        for seq in sequences:
-            for attrs in seq.obs:
-                for attr in attrs:
-                    obs_counts[attr] = obs_counts.get(attr, 0) + 1
-            for attrs in seq.edge[1:]:
-                for attr in attrs:
-                    edge_counts[attr] = edge_counts.get(attr, 0) + 1
-        for attr, count in sorted(obs_counts.items()):
-            if count >= self.min_count:
-                self.obs_vocab[attr] = len(self.obs_vocab)
-        for attr, count in sorted(edge_counts.items()):
-            if count >= self.min_edge_count:
-                self.edge_vocab[attr] = len(self.edge_vocab)
-        self._frozen = True
-        return self
-
-    def extend(self, sequences: Iterable[Sequence]) -> list[str]:
-        """Add previously unseen attributes from ``sequences`` to the index.
-
-        Supports the paper's maintainability story (Section 5.3): when a new
-        labeled example arrives, the feature set is enlarged rather than
-        rebuilt.  Returns the newly added observation attributes.  Counts are
-        not re-thresholded; every new attribute is admitted, since by
-        definition the new examples were added because they matter.
-        """
-        if not self._frozen:
-            raise RuntimeError("build() must be called before extend()")
-        added: list[str] = []
-        for seq in sequences:
-            for attrs in seq.obs:
-                for attr in attrs:
-                    if attr not in self.obs_vocab:
-                        self.obs_vocab[attr] = len(self.obs_vocab)
-                        added.append(attr)
-            for attrs in seq.edge[1:]:
-                for attr in attrs:
-                    if attr not in self.edge_vocab:
-                        self.edge_vocab[attr] = len(self.edge_vocab)
-        return added
+        self.obs_vocab: dict[str, int] = {} if obs_vocab is None else obs_vocab
+        self.edge_vocab: dict[str, int] = {} if edge_vocab is None else edge_vocab
 
     # ------------------------------------------------------------------
     # Introspection
@@ -243,30 +170,14 @@ class FeatureIndex:
             names[i] = attr
         return names
 
-    # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-
-    def encode(self, seq: Sequence) -> EncodedSequence:
-        """Resolve a sequence's attributes to ids, dropping unknown ones."""
-        obs_ids = [
-            sorted({self.obs_vocab[a] for a in attrs if a in self.obs_vocab})
-            for attrs in seq.obs
-        ]
-        edge_ids = [
-            sorted({self.edge_vocab[a] for a in attrs if a in self.edge_vocab})
-            for attrs in seq.edge
-        ]
-        return EncodedSequence(obs_ids=obs_ids, edge_ids=edge_ids)
-
-    def encode_labels(self, labels: TypingSequence[str]) -> list[int]:
+    def encode_labels(self, labels: Sequence[str]) -> list[int]:
         """Label strings to state ids; unknown labels are an error."""
         try:
             return [self.label_ids[y] for y in labels]
         except KeyError as exc:
             raise ValueError(f"unknown label {exc.args[0]!r}") from exc
 
-    def decode_labels(self, label_ids: TypingSequence[int]) -> list[str]:
+    def decode_labels(self, label_ids: Sequence[int]) -> list[str]:
         """State ids back to label strings."""
         return [self.labels[i] for i in label_ids]
 
@@ -274,21 +185,19 @@ class FeatureIndex:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
         return {
             "labels": list(self.labels),
-            "min_count": self.min_count,
-            "min_edge_count": self.min_edge_count,
             "obs_vocab": self.obs_vocab,
             "edge_vocab": self.edge_vocab,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureIndex":
-        """Rebuild a frozen index from :meth:`to_dict` output."""
-        index = cls(
+        """Rebuild an index from :meth:`to_dict` output.
+
+        The ``min_count`` and ``min_edge_count`` keys of older snapshots
+        are ignored: trimming happened when their vocabularies were built.
+        """
+        return cls(
             data["labels"],
-            min_count=data["min_count"],
-            min_edge_count=data["min_edge_count"],
+            obs_vocab=dict(data["obs_vocab"]),
+            edge_vocab=dict(data["edge_vocab"]),
         )
-        index.obs_vocab = dict(data["obs_vocab"])
-        index.edge_vocab = dict(data["edge_vocab"])
-        index._frozen = True
-        return index

@@ -6,21 +6,15 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence as TypingSequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.crf.batch import EncodedBatch, batch_forward_backward
+from repro.crf.batch import EncodedBatch
 from repro.crf.decode import batch_marginals, batch_viterbi
-from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
+from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.crf.objective import ParamView
 from repro.crf.train import LBFGSTrainer, TrainLog, TrainerState
-
-
-def _as_sequence(seq: Sequence | list[list[str]]) -> Sequence:
-    if isinstance(seq, Sequence):
-        return seq
-    return Sequence(obs=seq)
 
 
 class ChainCRF:
@@ -31,9 +25,6 @@ class ChainCRF:
     labels:
         The finite state space (e.g. the six block labels of the first-level
         WHOIS CRF).
-    min_count:
-        Observation attributes occurring fewer than this many times in the
-        training corpus are trimmed from the dictionary, as in Section 3.3.
     l2:
         L2 regularization strength.
     max_iterations:
@@ -41,26 +32,22 @@ class ChainCRF:
 
     Examples
     --------
-    >>> crf = ChainCRF(["a", "b"], l2=0.1)
-    >>> train = [Sequence(obs=[["x"], ["y"]]), Sequence(obs=[["x"], ["y"]])]
-    >>> _ = crf.fit(train, [["a", "b"], ["a", "b"]])
-    >>> crf.predict(Sequence(obs=[["x"], ["y"]]))
-    ['a', 'b']
+    >>> index = FeatureIndex(["a", "b"], obs_vocab={"x": 0, "y": 1})
+    >>> xy = EncodedSequence([[0], [1]], [[], []])
+    >>> crf = ChainCRF(["a", "b"], l2=0.1).fit(index, [xy, xy], [["a", "b"]] * 2)
+    >>> crf.predict_many([xy])
+    [['a', 'b']]
     """
 
     def __init__(
         self,
-        labels: TypingSequence[str],
+        labels: Sequence[str],
         *,
-        min_count: int = 1,
-        min_edge_count: int = 1,
         l2: float = 1.0,
         max_iterations: int = 200,
     ) -> None:
         """Unfitted CRF over ``labels`` with training hyperparameters."""
         self._labels = tuple(labels)
-        self._min_count = min_count
-        self._min_edge_count = min_edge_count
         self._l2 = l2
         self._max_iterations = max_iterations
         self.index: FeatureIndex | None = None
@@ -81,10 +68,27 @@ class ChainCRF:
         """True once :meth:`fit` (or a load) has set parameters."""
         return self.params is not None
 
+    def _train(self, index, sequences, label_sequences, **trainer_kwargs):
+        """Fit ``index``'s parameters to the labeled ``sequences``."""
+        if index.labels != self._labels:
+            raise ValueError("index labels differ from the model's")
+        if len(sequences) != len(label_sequences):
+            raise ValueError("sequences and label_sequences differ in length")
+        dataset = [
+            (seq, index.encode_labels(labels))
+            for seq, labels in zip(sequences, label_sequences)
+        ]
+        params, log = LBFGSTrainer(
+            l2=self._l2, max_iterations=self._max_iterations
+        ).fit(dataset, index, **trainer_kwargs)
+        self.index, self.params, self.train_log = index, params, log
+        return self
+
     def fit(
         self,
-        sequences: Iterable[Sequence | list[list[str]]],
-        label_sequences: Iterable[TypingSequence[str]],
+        index: FeatureIndex,
+        sequences: Sequence[EncodedSequence],
+        label_sequences: Sequence[Sequence[str]],
         *,
         resume: "TrainerState | None" = None,
         checkpoint_every: int = 0,
@@ -92,112 +96,76 @@ class ChainCRF:
     ) -> "ChainCRF":
         """Estimate parameters from labeled sequences (eq. (4)).
 
-        ``resume`` / ``checkpoint_every`` / ``on_checkpoint`` forward to
-        the trainer (:mod:`repro.crf.train`), so a long cold train can
-        snapshot :class:`~repro.crf.train.TrainerState` objects and be
-        continued after an interruption.
+        ``sequences`` are encoded against ``index``, which the model
+        keeps.  ``resume`` / ``checkpoint_every`` / ``on_checkpoint``
+        forward to the trainer (:mod:`repro.crf.train`), so a long cold
+        train can snapshot :class:`~repro.crf.train.TrainerState` objects
+        and be continued after an interruption.
         """
-        seqs = [_as_sequence(s) for s in sequences]
-        labels = list(label_sequences)
-        if len(seqs) != len(labels):
-            raise ValueError("sequences and label_sequences differ in length")
-        for seq, lab in zip(seqs, labels):
-            if len(seq) != len(lab):
-                raise ValueError(
-                    f"sequence of length {len(seq)} has {len(lab)} labels"
-                )
-        if resume is None or self.index is None:
-            self.index = FeatureIndex(
-                self._labels,
-                min_count=self._min_count,
-                min_edge_count=self._min_edge_count,
-            ).build(seqs)
-        dataset = [
-            (self.index.encode(seq), self.index.encode_labels(lab))
-            for seq, lab in zip(seqs, labels)
-        ]
-        self.params, self.train_log = LBFGSTrainer(
-            l2=self._l2, max_iterations=self._max_iterations
-        ).fit(
-            dataset,
-            self.index,
+        return self._train(
+            index,
+            sequences,
+            label_sequences,
             resume=resume,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
-        return self
 
     def partial_fit(
         self,
-        sequences: Iterable[Sequence | list[list[str]]],
-        label_sequences: Iterable[TypingSequence[str]],
+        index: FeatureIndex,
+        sequences: Sequence[EncodedSequence],
+        label_sequences: Sequence[Sequence[str]],
         *,
-        replay: list[tuple[Sequence, TypingSequence[str]]] | None = None,
         resume: "TrainerState | None" = None,
         checkpoint_every: int = 0,
         on_checkpoint=None,
     ) -> "ChainCRF":
         """Enlarge the model with new labeled examples (Section 5.3).
 
-        New attributes are appended to the feature index; existing weights
-        are kept as a warm start and training continues on the new examples
-        plus an optional replay set of earlier examples.  This is the
-        maintainability workflow the paper contrasts with hand-editing
-        rule bases.  ``checkpoint_every`` / ``on_checkpoint`` forward to
-        the trainer for mid-retrain :class:`~repro.crf.train.TrainerState`
-        snapshots, and ``resume`` continues an interrupted retrain of the
-        *same* examples from such a snapshot (index extension is
-        deterministic, so the snapshot's parameter vector lines up).
+        ``index`` extends the fitted one: every attribute keeps its id and
+        the new ones follow.  Existing weights are kept as a warm start
+        and training continues on ``sequences`` (the new examples plus
+        any replayed earlier ones).  This is the maintainability workflow
+        the paper contrasts with hand-editing rule bases.
+        ``checkpoint_every`` / ``on_checkpoint`` forward to the trainer
+        for mid-retrain :class:`~repro.crf.train.TrainerState` snapshots,
+        and ``resume`` continues an interrupted retrain of the *same*
+        examples from such a snapshot (the extension is deterministic, so
+        the snapshot's parameter vector lines up).
         """
-        if self.index is None or self.params is None:
-            raise RuntimeError("partial_fit() requires a fitted model")
-        seqs = [_as_sequence(s) for s in sequences]
-        labels = list(label_sequences)
-        if len(seqs) != len(labels):
-            raise ValueError("sequences and label_sequences differ in length")
-        old_index = self.index
-        old_view = ParamView.of(self.params, old_index)
-        old_n_obs, old_n_edge = old_index.n_obs, old_index.n_edge
-
-        old_index.extend(seqs)
-        new_params = np.zeros(old_index.n_features)
-        new_view = ParamView.of(new_params, old_index)
+        old_index, old_view = self._require_fitted()
+        if not (
+            old_index.obs_vocab.items() <= index.obs_vocab.items()
+            and old_index.edge_vocab.items() <= index.edge_vocab.items()
+        ):
+            raise ValueError("index does not extend the fitted model's index")
+        new_params = np.zeros(index.n_features)
+        new_view = ParamView.of(new_params, index)
         new_view.start[:] = old_view.start
-        new_view.obs[:old_n_obs] = old_view.obs
+        new_view.obs[:old_index.n_obs] = old_view.obs
         new_view.trans[:] = old_view.trans
-        new_view.edge[:old_n_edge] = old_view.edge
+        new_view.edge[:old_index.n_edge] = old_view.edge
 
         if resume is not None and resume.params.shape != new_params.shape:
             # A snapshot from a different retrain (wrong dimensionality).
-            # Leave the model consistent with the already-extended index
-            # -- old weights kept, new features at zero -- so the caller
-            # can drop the snapshot and call partial_fit again.
-            self.params = new_params
+            # Leave the model consistent with the extended index -- old
+            # weights kept, new features at zero -- so the caller can
+            # drop the snapshot and call partial_fit again.
+            self.index, self.params = index, new_params
             raise ValueError(
                 f"resume snapshot has {resume.params.shape[0]} parameters, "
                 f"expected {new_params.shape[0]} after index extension"
             )
-
-        pairs: list[tuple[Sequence, TypingSequence[str]]] = list(zip(seqs, labels))
-        if replay:
-            pairs.extend(
-                (_as_sequence(s), lab) for s, lab in replay
-            )
-        dataset = [
-            (old_index.encode(seq), old_index.encode_labels(list(lab)))
-            for seq, lab in pairs
-        ]
-        self.params, self.train_log = LBFGSTrainer(
-            l2=self._l2, max_iterations=self._max_iterations
-        ).fit(
-            dataset,
-            old_index,
+        return self._train(
+            index,
+            sequences,
+            label_sequences,
             initial=None if resume is not None else new_params,
             resume=resume,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
-        return self
 
     # ------------------------------------------------------------------
     # Inference
@@ -211,8 +179,7 @@ class ChainCRF:
     def _decode_many(self, sequences, decode, empty, *, chunk_size: int):
         """The batched inference driver every prediction method runs on.
 
-        Accepts raw or pre-encoded sequences.  Non-empty sequences are
-        sorted by length and padded into per-chunk :class:`EncodedBatch`
+        Non-empty sequences are sorted by length and padded into per-chunk :class:`EncodedBatch`
         objects (bounding peak memory at roughly ``chunk_size * T_max *
         S^2`` floats; length-sorting keeps each chunk's padding tight);
         ``decode(chunk, emit, trans)`` turns one chunk's
@@ -220,11 +187,7 @@ class ChainCRF:
         into input order.  Empty sequences map to ``empty(index)``.
         """
         index, view = self._require_fitted()
-        encoded = [
-            s if isinstance(s, EncodedSequence)
-            else index.encode(_as_sequence(s))
-            for s in sequences
-        ]
+        encoded = list(sequences)
         out: list = [empty(index) for _ in encoded]
         keep = [i for i, s in enumerate(encoded) if len(s) > 0]
         if not keep:
@@ -242,7 +205,7 @@ class ChainCRF:
 
     def predict_many(
         self,
-        sequences: Iterable[Sequence | EncodedSequence | list[list[str]]],
+        sequences: Sequence[EncodedSequence],
         *,
         chunk_size: int = 256,
     ) -> list[list[str]]:
@@ -250,10 +213,8 @@ class ChainCRF:
 
         Empty sequences yield ``[]``.  The recursions run across all
         sequences of a chunk in dense numpy ops -- the bulk path Section
-        6's survey-scale parse runs on.  Items may be pre-encoded
-        (:class:`EncodedSequence`), in which case the per-sequence
-        attribute-to-id resolution is skipped too -- the
-        :class:`~repro.parser.bulk.LineEncoder` cache feeds this form.
+        6's survey-scale parse runs on, fed by the
+        :class:`~repro.parser.bulk.LineEncoder` cache.
         """
         index = self.index
 
@@ -269,7 +230,7 @@ class ChainCRF:
 
     def predict_marginals_many(
         self,
-        sequences: Iterable[Sequence | EncodedSequence | list[list[str]]],
+        sequences: Sequence[EncodedSequence],
         *,
         chunk_size: int = 256,
     ) -> list[np.ndarray]:
@@ -283,7 +244,7 @@ class ChainCRF:
 
     def predict_with_marginals_many(
         self,
-        sequences: Iterable[Sequence | EncodedSequence | list[list[str]]],
+        sequences: Sequence[EncodedSequence],
     ) -> list[tuple[list[str], np.ndarray]]:
         """Viterbi labels and per-token posteriors for many sequences,
         both from one potentials pass per chunk."""
@@ -303,31 +264,6 @@ class ChainCRF:
             lambda index: ([], np.zeros((0, index.n_states))),
             chunk_size=256,
         )
-
-    def predict(self, seq: Sequence | list[list[str]]) -> list[str]:
-        """Most likely label sequence (Viterbi decoding, eq. (5))."""
-        return self.predict_many([seq])[0]
-
-    def predict_marginals(self, seq: Sequence | list[list[str]]) -> np.ndarray:
-        """Per-token posterior ``Pr(y_t | x)``, shape ``(T, n_states)``."""
-        return self.predict_marginals_many([seq])[0]
-
-    def predict_with_marginals(
-        self, seq: Sequence | list[list[str]]
-    ) -> tuple[list[str], np.ndarray]:
-        """Viterbi labels and per-token posteriors from one potentials pass."""
-        return self.predict_with_marginals_many([seq])[0]
-
-    def log_likelihood(
-        self, seq: Sequence | list[list[str]], labels: TypingSequence[str]
-    ) -> float:
-        """``ln Pr(labels | seq)`` under the fitted model (eq. (2))."""
-        index, view = self._require_fitted()
-        encoded = index.encode(_as_sequence(seq))
-        batch = EncodedBatch([(encoded, index.encode_labels(list(labels)))], index)
-        emit, trans = batch.potentials(view)
-        _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
-        return batch.observed_score(emit, trans) - float(log_z[0])
 
     # ------------------------------------------------------------------
     # Introspection (Table 1 / Figure 1)
@@ -385,8 +321,6 @@ class ChainCRF:
         path = Path(path)
         meta = {
             "labels": list(self._labels),
-            "min_count": self._min_count,
-            "min_edge_count": self._min_edge_count,
             "l2": self._l2,
             "index": self.index.to_dict(),
         }
@@ -407,17 +341,13 @@ class ChainCRF:
         array bytes.  Snapshots predating the raw format are adopted by
         materializing ``<path>.npy`` next to the ``.npz`` on first mmap
         load; if the directory is not writable the load silently falls
-        back to the in-memory path.  The ``"trainer"`` key of snapshots
-        written when a second trainer existed is ignored.
+        back to the in-memory path.  Keys of older snapshots that no
+        longer configure anything (``"trainer"``, ``"min_count"``,
+        ``"min_edge_count"``) are ignored.
         """
         path = Path(path)
         meta = json.loads(path.with_suffix(".json").read_text())
-        model = cls(
-            meta["labels"],
-            min_count=meta["min_count"],
-            min_edge_count=meta["min_edge_count"],
-            l2=meta["l2"],
-        )
+        model = cls(meta["labels"], l2=meta["l2"])
         model.index = FeatureIndex.from_dict(meta["index"])
         if mmap:
             model.params = _mmap_params(path)

@@ -373,6 +373,7 @@ def two_level_vs_flat(
     """The paper's hierarchy (6-state CRF + 12-state registrant CRF) vs a
     single flat CRF over the 17 joint labels."""
     from repro.crf.model import ChainCRF
+    from repro.parser.bulk import fit_encoder
     from repro.whois.features import WhoisFeaturizer
 
     generator = CorpusGenerator(CorpusConfig(seed=seed))
@@ -380,18 +381,22 @@ def two_level_vs_flat(
     test = generator.labeled_corpus(n_test)
 
     two_level = make_parser(train)
-    featurizer = WhoisFeaturizer()
-    flat = ChainCRF(_FLAT_LABELS, l2=DEFAULT_L2, max_iterations=120)
-    flat.fit(
-        [featurizer.featurize_lines(r.raw_lines) for r in train],
+    encoder = fit_encoder(
+        WhoisFeaturizer(), _FLAT_LABELS, [r.raw_lines for r in train]
+    )
+    flat = ChainCRF(_FLAT_LABELS, l2=DEFAULT_L2, max_iterations=120).fit(
+        encoder.index,
+        [encoder.encode_record(r.raw_lines) for r in train],
         [_flatten_labels(r) for r in train],
+    )
+    preds_flat = flat.predict_many(
+        [encoder.encode_record(r.raw_lines) for r in test]
     )
 
     flat_block = flat_sub = two_block = two_sub = 0
     n_lines = n_reg_lines = 0
-    for record in test:
+    for record, pred_flat in zip(test, preds_flat):
         gold_joint = _flatten_labels(record)
-        pred_flat = flat.predict(featurizer.featurize_lines(record.raw_lines))
         pred_two = two_level.label_lines(record)
         for gold, p_flat, (_, p_block, p_sub) in zip(
             gold_joint, pred_flat, pred_two

@@ -1,34 +1,37 @@
-"""Bulk featurize-and-encode machinery for survey-scale parsing.
+"""The one encoder from record units to attribute ids.
+
+:class:`LineEncoder` turns a record's units (lines, or characters under
+char granularity) into the ids a :class:`~repro.crf.ChainCRF` consumes,
+for training (:func:`fit_encoder`) and inference alike, so a model
+meets its features at parse time exactly as it learned them.
 
 The paper's headline workload (Section 6) parses 102M com records with an
-already-trained model, so the prediction path has to move: per-record
-featurization re-tokenizes every line from scratch, and per-record
-``FeatureIndex.encode`` re-resolves every attribute string to an id.
-
-WHOIS lines repeat massively across records of the same registrar schema
-("Registrant Name:", "Domain Status: clientTransferProhibited", privacy
-service boilerplate...), so :class:`LineEncoder` memoizes the entire
-line -> encoded-attribute-ids computation per *distinct* line of text.  A
-cache hit skips tokenization, separator splitting, word-classing, UNK
-lookup, and vocabulary resolution in one go; only the cheap layout-context
+already-trained model, so encoding has to be cheap.  WHOIS lines repeat
+massively across records of the same registrar schema ("Registrant
+Name:", "Domain Status: clientTransferProhibited", privacy service
+boilerplate...), so :class:`LineEncoder` memoizes the entire line ->
+encoded-attribute-ids computation per *distinct* line of text.  A cache
+hit skips tokenization, separator splitting, word-classing, UNK lookup,
+and vocabulary resolution in one go; only the cheap layout-context
 attributes (``NL``/``SHL``/``SHR`` markers and ``CTX:`` header context),
 which depend on neighboring lines, are appended per occurrence -- as
 pre-resolved ids.
 
 The resulting :class:`~repro.crf.features.EncodedSequence` objects feed
-straight into :meth:`ChainCRF.predict_many`'s batched Viterbi without any
-further per-token work.  Encodings hold exactly the id sets of
-``index.encode(featurizer.featurize_lines(raw))``; the order of the ids
-within a line (the summation order of its potentials) is fixed by the
-order of the attribute lists of :meth:`WhoisFeaturizer.line_analysis
-<repro.whois.features.WhoisFeaturizer.line_analysis>`, so a given
-model encodes a given line the same way on every run.
+straight into the CRF's batched recursions without any further per-token
+work.  The order of the ids within a line (the summation order of its
+potentials) is fixed by the order of the attribute lists of
+:meth:`WhoisFeaturizer.line_analysis
+<repro.whois.features.WhoisFeaturizer.line_analysis>` and by the ids
+themselves, so a given model encodes a given line the same way on every
+run.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Mapping
+from collections import defaultdict
+from itertools import chain, count
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,10 +55,11 @@ class LineEncoder:
     depth, and the block-header headword -- everything about a line that
     does not depend on its neighbors.
 
-    **Cap behavior**: both per-line dicts (encoded line profiles and raw
-    analyses) are capped at ``cache_size`` distinct entries.  Once the
-    cap is reached, *lookups* still hit but new lines stop being
-    inserted -- they are re-analyzed on every occurrence.  WHOIS
+    **Cap behavior**: every cache (encoded line profiles, raw analyses,
+    header contexts and the char-context memos) is capped at
+    ``cache_size`` distinct entries.  Once the cap is reached, *lookups*
+    still hit but new entries stop being inserted -- they are resolved
+    again on every occurrence.  WHOIS
     vocabulary is heavy-headed enough that the hot lines enter early, so
     a full cache usually still hits >90%; each skipped insertion is
     counted (:attr:`cache_full_skips`) and surfaced by the bulk parser
@@ -94,7 +98,8 @@ class LineEncoder:
         #: bulk parser drains deltas into ``repro.obs`` per batch)
         self.hits = 0
         self.misses = 0
-        #: insertions skipped because a cache dict was at ``cache_size``
+        #: line-profile and header-context insertions skipped because the
+        #: cache was at ``cache_size``
         self.cache_full_skips = 0
         #: entries loaded via :meth:`load_cache_state` (warm starts)
         self.warm_entries = 0
@@ -103,8 +108,7 @@ class LineEncoder:
         self._drained_full_skips = 0
         obs_vocab, edge_vocab = index.obs_vocab, index.edge_vocab
         # Layout-marker ids, resolved once.  A marker absent from the
-        # vocabulary encodes to nothing, exactly as FeatureIndex.encode
-        # drops unknown attributes.
+        # vocabulary encodes to nothing, as every unknown attribute does.
         self._nl = (obs_vocab.get("NL"), edge_vocab.get("NL"))
         self._shl = (obs_vocab.get("SHL"), edge_vocab.get("SHL"))
         self._shr = (obs_vocab.get("SHR"), edge_vocab.get("SHR"))
@@ -178,9 +182,14 @@ class LineEncoder:
             attrs = [f"CTX:{head}"]
             if self.featurizer.config.prefixes and len(head) >= 4:
                 attrs.append(f"CTX4:{head[:4]}")
-            vocab = self.index.obs_vocab
-            ids = tuple(vocab[a] for a in attrs if a in vocab)
-            self._ctx[head] = ids
+            ids = tuple(
+                i for i in map(self.index.obs_vocab.get, attrs)
+                if i is not None
+            )
+            if len(self._ctx) < self.cache_size:
+                self._ctx[head] = ids
+            else:
+                self.cache_full_skips += 1
         return ids
 
     def _encode_chars(
@@ -188,8 +197,10 @@ class LineEncoder:
         units: list[str],
         collect: list[str] | None = None,
     ) -> EncodedSequence:
-        """Char-granularity encoding, mirroring
-        :meth:`WhoisFeaturizer.featurize_chars` attribute for attribute.
+        """Char-granularity encoding: each character's intrinsic
+        attributes (:meth:`WhoisFeaturizer.char_attributes
+        <repro.whois.features.WhoisFeaturizer.char_attributes>`) and then
+        its context attributes.
 
         The intrinsic per-character attributes come from the same profile
         cache as line mode (keyed on the character, so the cache tops out
@@ -252,13 +263,18 @@ class LineEncoder:
         raw_lines: list[str],
         collect: list[str] | None = None,
     ) -> EncodedSequence:
-        """Encode one record's labelable lines, mirroring
-        :meth:`WhoisFeaturizer.featurize_lines` attribute for attribute.
-        Second-level segments (runs of labelable lines) encode the same
-        way.
+        """Encode one record's labelable units.  Second-level segments
+        (runs of labelable lines) encode the same way; under char
+        granularity the units are characters (:meth:`_encode_chars`).
 
-        Intrinsic ids come from the cache; the context-dependent layout
-        and header attributes -- disjoint from every intrinsic attribute
+        Each line's intrinsic ids (:meth:`WhoisFeaturizer.line_analysis
+        <repro.whois.features.WhoisFeaturizer.line_analysis>`) come from
+        the cache.  The layout markers follow: ``NL`` after one or more
+        blank (or symbol-only) lines, ``SHL``/``SHR`` when the
+        indentation shifts left/right against the previous labelable
+        line.  Then ``CTX:<headword>`` (and a ``CTX4:`` prefix) on lines
+        indented under a block header.  The context-dependent attributes
+        -- disjoint from every intrinsic attribute
         by construction (``NL``/``SHL``/``SHR`` and the ``CTX:`` prefix
         never occur in :meth:`WhoisFeaturizer.line_analysis
         <repro.whois.features.WhoisFeaturizer.line_analysis>` output) --
@@ -409,16 +425,77 @@ class LineEncoder:
     def load_cache_state(self, state: tuple[dict, dict]) -> int:
         """Warm the caches from a :meth:`read_cache_arrays` state.
 
-        Lines already cached keep their entry, and entries beyond
-        ``cache_size`` are dropped.  Returns the number of line profiles
+        Entries already cached are kept, and each cache takes entries
+        only up to ``cache_size``.  Returns the number of line profiles
         loaded (also tracked as :attr:`warm_entries`).
         """
         lines, ctx = state
         loaded = _fill(self._lines, lines, self.cache_size)
-        # One entry per distinct headword: header contexts are uncapped.
-        _fill(self._ctx, ctx, len(self._ctx) + len(ctx))
+        _fill(self._ctx, ctx, self.cache_size)
         self.warm_entries += loaded
         return loaded
+
+
+class _OpenVocabulary(defaultdict):
+    """:func:`fit_encoder`'s first-pass vocabulary: ``get`` gives a new
+    attribute the next id, at the speed of a dict lookup."""
+
+    get = defaultdict.__getitem__
+
+    def __init__(self) -> None:
+        """An empty vocabulary whose ids count up from 0."""
+        super().__init__(count().__next__)
+
+
+def fit_encoder(
+    featurizer: WhoisFeaturizer,
+    labels: Sequence[str],
+    units: Iterable[list[str]],
+    *,
+    min_count: int = 1,
+    base: FeatureIndex | None = None,
+    profiles: dict | None = None,
+) -> LineEncoder:
+    """An encoder on the vocabulary of one level's training sequences.
+
+    ``units`` holds each sequence's units.  A first pass encodes them
+    against an open vocabulary, and each attribute counts once per token
+    (an edge attribute from a sequence's second token on).  Those
+    counted ``min_count`` times form the index, numbered in sorted
+    order.  With ``base`` (``partial_fit``) its attributes keep their
+    ids and every new one follows, sorted, whatever its count.  The
+    returned encoder shares the first pass's line analyses
+    (``profiles``), so no unit is analysed twice.
+    """
+    first = LineEncoder(
+        featurizer,
+        FeatureIndex(
+            labels, obs_vocab=_OpenVocabulary(), edge_vocab=_OpenVocabulary()
+        ),
+        profiles=profiles,
+    )
+    obs_ids: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    edge_ids: list[int] = []
+    for record in units:
+        encoded = first.encode_record(record)
+        obs_ids.append(encoded.packed_obs()[0])
+        edge_ids.extend(chain.from_iterable(encoded.edge_ids[1:]))
+    old = FeatureIndex(labels) if base is None else base
+    threshold = 1 if base is not None else max(min_count, 1)
+    vocabs = []
+    for seen, ids, kept in (
+        (first.index.obs_vocab, np.concatenate(obs_ids), old.obs_vocab),
+        (first.index.edge_vocab, np.array(edge_ids, np.intp), old.edge_vocab),
+    ):
+        # The open vocabulary's keys are in id order.
+        counts = np.bincount(ids, minlength=len(seen)).tolist()
+        added = sorted(
+            attr for attr, n in zip(seen, counts)
+            if n >= threshold and attr not in kept
+        )
+        vocabs.append({**kept, **dict(zip(added, count(len(kept))))})
+    index = FeatureIndex(labels, obs_vocab=vocabs[0], edge_vocab=vocabs[1])
+    return LineEncoder(featurizer, index, profiles=first._profiles)
 
 
 def _fill(cache: dict, entries: dict, cap: int) -> int:

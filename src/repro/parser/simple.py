@@ -74,10 +74,6 @@ class SimpleParseResult:
     created: str | None = None
     expires: str | None = None
 
-    @property
-    def found_registrant(self) -> bool:
-        return self.registrant_name is not None
-
 
 class SimpleRegexParser(ParserBase):
     """Generic regex extraction over raw WHOIS text.

@@ -20,16 +20,16 @@ import json
 import zipfile
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence as TypingSequence
+from typing import Sequence as TypingSequence
 
 import numpy as np
 
 from repro import errors, obs
-from repro.crf.features import Sequence
 from repro.crf.model import ChainCRF
 from repro.domain import DomainSpec, get_domain, sub_segments
 from repro.parallel import map_chunks
 from repro.parser.api import ParserBase
+from repro.parser.bulk import LineEncoder, fit_encoder
 from repro.parser.fields import ParsedRecord
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
 from repro.whois.records import LabeledRecord, WhoisRecord
@@ -90,9 +90,10 @@ class WhoisParser(ParserBase):
         #: training corpus (trimming words rarer than the threshold) and
         #: marks out-of-vocabulary words with explicit UNK attributes
         self._unk_min_count = unk_min_count
-        self._crf_kwargs = dict(
-            min_count=min_count, l2=l2, max_iterations=max_iterations
-        )
+        #: attributes seen on fewer tokens of the training corpus are
+        #: trimmed from the dictionary (Section 3.3; see fit_encoder)
+        self._min_count = min_count
+        self._crf_kwargs = dict(l2=l2, max_iterations=max_iterations)
         self.block_crf = ChainCRF(self.spec.block_labels, **self._crf_kwargs)
         self.registrant_crf = (
             ChainCRF(self.spec.sub_labels, **self._crf_kwargs)
@@ -116,24 +117,42 @@ class WhoisParser(ParserBase):
     # Training
     # ------------------------------------------------------------------
 
-    def _block_dataset(
-        self, records: Iterable[LabeledRecord]
-    ) -> tuple[list[Sequence], list[list[str]]]:
-        sequences, labels = [], []
-        for record in records:
-            sequences.append(self.featurizer.featurize_lines(record.raw_lines))
-            labels.append(record.block_labels)
-        return sequences, labels
+    def _segments(self, crf: ChainCRF, records) -> list[tuple[list, list]]:
+        """``(units, labels)`` of each of ``crf``'s training sequences."""
+        if crf is self.block_crf:
+            return [(r.raw_lines, r.block_labels) for r in records]
+        return [seg for r in records for seg in sub_segments(r, self.spec)]
 
-    def _registrant_dataset(
-        self, records: Iterable[LabeledRecord]
-    ) -> tuple[list[Sequence], list[list[str]]]:
-        sequences, labels = [], []
-        for record in records:
-            for texts, subs in sub_segments(record, self.spec):
-                sequences.append(self.featurizer.featurize_lines(texts))
-                labels.append(subs)
-        return sequences, labels
+    def _train(self, records, replay=(), *, extend=False, **block_kwargs) -> None:
+        """Fit each level on ``records`` (and ``replay``) through one
+        :func:`~repro.parser.bulk.fit_encoder` per level, growing each
+        fitted index with ``extend``; ``block_kwargs`` go to the first
+        level's trainer."""
+        profiles: dict = {}  # line analyses, shared by both levels
+        levels = [("block", self.block_crf, block_kwargs)]
+        if self.registrant_crf is not None and (
+            self.registrant_crf.is_fitted or not extend
+        ):
+            levels.append(("registrant", self.registrant_crf, {}))
+        for level, crf, kwargs in levels:
+            fresh = self._segments(crf, records)
+            if not fresh:
+                continue
+            encoder = fit_encoder(
+                self.featurizer,
+                crf.labels,
+                [units for units, _labels in fresh],
+                min_count=self._min_count,
+                base=crf.index if extend else None,
+                profiles=profiles,
+            )
+            pairs = fresh + self._segments(crf, replay)
+            sequences = [encoder.encode_record(units) for units, _ in pairs]
+            labels = [seg_labels for _units, seg_labels in pairs]
+            train = crf.partial_fit if extend else crf.fit
+            with obs.trace("train.fit_seconds", level=level):
+                train(encoder.index, sequences, labels, **kwargs)
+        self._bulk_encoders = None
 
     def fit(
         self,
@@ -158,22 +177,13 @@ class WhoisParser(ParserBase):
             lexicon = Lexicon()
             lexicon.add_texts(record.text for record in records)
             self.featurizer.lexicon = lexicon.freeze(self._unk_min_count)
-        sequences, labels = self._block_dataset(records)
-        with obs.trace("train.fit_seconds", level="block"):
-            self.block_crf.fit(
-                sequences,
-                labels,
-                resume=resume,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-            )
-        if self.registrant_crf is not None:
-            reg_seqs, reg_labels = self._registrant_dataset(records)
-            if reg_seqs:
-                with obs.trace("train.fit_seconds", level="registrant"):
-                    self.registrant_crf.fit(reg_seqs, reg_labels)
+        self._train(
+            records,
+            resume=resume,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
+        )
         self._trained_on = len(records)
-        self._bulk_encoders = None
         return self
 
     def partial_fit(
@@ -197,27 +207,15 @@ class WhoisParser(ParserBase):
         new_records = list(new_records)
         if not new_records:
             return self
-        sequences, labels = self._block_dataset(new_records)
-        replay_pairs = list(zip(*self._block_dataset(replay))) if replay else None
-        self.block_crf.partial_fit(
-            sequences,
-            labels,
-            replay=replay_pairs,
+        self._train(
+            new_records,
+            replay,
+            extend=True,
             resume=resume,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
-        if self.registrant_crf is not None and self.registrant_crf.is_fitted:
-            reg_seqs, reg_labels = self._registrant_dataset(new_records)
-            if reg_seqs:
-                replay_reg = (
-                    list(zip(*self._registrant_dataset(replay))) if replay else None
-                )
-                self.registrant_crf.partial_fit(
-                    reg_seqs, reg_labels, replay=replay_reg
-                )
         self._trained_on += len(new_records)
-        self._bulk_encoders = None
         return self
 
     # ------------------------------------------------------------------
@@ -342,8 +340,6 @@ class WhoisParser(ParserBase):
         :class:`repro.parser.bulk.LineEncoder`).
         """
         if self._bulk_encoders is None:
-            from repro.parser.bulk import LineEncoder
-
             if not self.block_crf.is_fitted:
                 raise RuntimeError("parser is not fitted")
 

@@ -178,6 +178,7 @@ class WarmStartRetrainer:
             domain=template.spec,
             featurizer_config=template.featurizer.config,
             unk_min_count=template._unk_min_count,
+            min_count=template._min_count,
             **template._crf_kwargs,
             second_level=template.registrant_crf is not None,
         )

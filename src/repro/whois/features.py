@@ -1,8 +1,8 @@
-"""Featurization of WHOIS records into CRF attribute sequences (Section 3.3).
+"""The attributes of WHOIS text, the CRF's features (Section 3.3).
 
-:class:`WhoisFeaturizer` turns the labelable lines of a record into a
-:class:`repro.crf.Sequence` whose attributes reproduce the paper's feature
-families:
+:class:`WhoisFeaturizer` gives each unit of a record (a labelable line,
+or a character under char granularity) the attributes that reproduce
+the paper's feature families:
 
 - dictionary words suffixed ``@T`` (left of the first separator) or ``@V``
   (right of it, or the whole line when no separator exists);
@@ -17,15 +17,17 @@ Observation attributes feed features of the forms in eqs. (6)-(7);
 the *edge* attributes (markers plus title words) feed the
 transition-detecting features of eq. (8) that Figure 1 visualizes.
 Every family can be disabled independently for the ablation benchmarks.
+The layout markers and header context depend on neighbouring lines, so
+the encoder (:class:`repro.parser.bulk.LineEncoder`) adds them to each
+line's own attributes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crf.features import Sequence
 from repro.whois.lexicon import Lexicon
-from repro.whois.records import is_labelable, segment_chars
+from repro.whois.records import segment_chars
 from repro.whois.text import (
     detect_symbol_start,
     indentation,
@@ -75,25 +77,19 @@ class FeaturizerConfig:
     max_words_per_line: int = 40
     #: unit of labeling: "line" (one token per labelable line) or
     #: "char" (one token per character; see :meth:`WhoisFeaturizer.
-    #: featurize_chars`)
+    #: char_attributes`)
     granularity: str = "line"
-
-    @property
-    def char_grained(self) -> bool:
-        """True when this configuration labels characters, not lines."""
-        return self.granularity == "char"
 
 
 class WhoisFeaturizer:
-    """Converter from WHOIS text to CRF attribute sequences.
+    """The attributes of WHOIS text, unit by unit.
 
     Optionally carries a frozen :class:`Lexicon`: words outside its
     vocabulary are *additionally* marked with ``UNK@T``/``UNK@V``
     attributes, giving the model an explicit out-of-vocabulary signal on
     never-seen templates (unknown words otherwise just contribute nothing).
 
-    Featurization here is deliberately cache-free: one record in, one
-    :class:`Sequence` out.  The bulk path
+    Analysis here is deliberately cache-free.  The encoder
     (:class:`repro.parser.bulk.LineEncoder`) layers a memoizing per-line
     *encoding* cache on top of :meth:`line_analysis`, exploiting the
     massive line repetition across records of the same registrar schema.
@@ -144,9 +140,9 @@ class WhoisFeaturizer:
 
         Under char granularity a unit is one character: the attributes
         are :meth:`char_attributes` and there is no layout (0, None).
-        The result is context-free, which is what lets the bulk path
+        The result is context-free, which is what lets the encoder
         (:class:`repro.parser.bulk.LineEncoder`) memoize it per distinct
-        unit; :meth:`featurize_lines` adds the context on top.
+        unit and add the context on top.
         """
         cfg = self.config
         if cfg.granularity == "char":
@@ -253,7 +249,7 @@ class WhoisFeaturizer:
         """Context attributes for every character of one record.
 
         These are the char-granularity counterpart of the layout/header
-        context of :meth:`featurize_lines` -- everything about a
+        context the encoder adds to lines -- everything about a
         character that depends on its neighbors:
 
         - the containing word (``W:``, ``P4:`` prefix, a coarse token
@@ -338,76 +334,3 @@ class WhoisFeaturizer:
                     )
             out.append((obs, edge))
         return out
-
-    def featurize_chars(self, units: list[str]) -> Sequence:
-        """Featurize one record's characters (char granularity).
-
-        ``units`` is the segmented record -- one single-character string
-        per token, every one of them labelable (spaces and punctuation
-        carry labels too, so field values reassemble exactly).
-        """
-        obs_seq: list[list[str]] = []
-        edge_seq: list[list[str]] = []
-        for unit, (ctx_obs, ctx_edge) in zip(units, self.char_context(units)):
-            obs, edge = self.char_attributes(unit)
-            obs.extend(ctx_obs)
-            edge.extend(ctx_edge)
-            obs_seq.append(obs)
-            edge_seq.append(edge)
-        return Sequence(obs=obs_seq, edge=edge_seq)
-
-    # ------------------------------------------------------------------
-    # Whole-record featurization (first-level CRF)
-    # ------------------------------------------------------------------
-
-    def featurize_lines(self, raw_lines: list[str]) -> Sequence:
-        """Featurize the labelable units of a record, with layout context.
-
-        Serves both levels: a whole record for the first-level CRF, and a
-        registrant block (a contiguous run of labelable lines, so ``NL``
-        never fires; indentation shifts still do) for the second.  Under
-        char granularity ``raw_lines`` holds the record's segmented
-        characters (:meth:`segment`) and this delegates to
-        :meth:`featurize_chars`.
-        """
-        cfg = self.config
-        if cfg.granularity == "char":
-            return self.featurize_chars(raw_lines)
-        obs_seq: list[list[str]] = []
-        edge_seq: list[list[str]] = []
-        blank_run = 0
-        prev_indent: int | None = None
-        header: tuple[str, int] | None = None  # (headword, indent)
-        for line in raw_lines:
-            if not is_labelable(line):
-                blank_run += 1
-                continue
-            obs, edge, indent, headword = self.line_analysis(line)
-            if cfg.markers:
-                if blank_run > 0:
-                    obs.append("NL")
-                    if cfg.edge_markers:
-                        edge.append("NL")
-                if prev_indent is not None:
-                    if indent < prev_indent:
-                        obs.append("SHL")
-                        if cfg.edge_markers:
-                            edge.append("SHL")
-                    elif indent > prev_indent:
-                        obs.append("SHR")
-                        if cfg.edge_markers:
-                            edge.append("SHR")
-                prev_indent = indent
-            if cfg.header_context:
-                if header is not None and indent > header[1]:
-                    obs.append(f"CTX:{header[0]}")
-                    if cfg.prefixes and len(header[0]) >= 4:
-                        obs.append(f"CTX4:{header[0][:4]}")
-                else:
-                    header = None
-                if headword is not None:
-                    header = (headword, indent)
-            blank_run = 0
-            obs_seq.append(obs)
-            edge_seq.append(edge)
-        return Sequence(obs=obs_seq, edge=edge_seq)

@@ -1,8 +1,7 @@
-"""Tests for active learning and model-analysis extensions."""
+"""Tests for active learning (uncertainty ranking and labeling rounds)."""
 
 import pytest
 
-from repro.crf.analysis import model_summary, prune, top_weight_share
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.eval.metrics import evaluate_parser
 from repro.parser import WhoisParser
@@ -87,50 +86,3 @@ def test_active_learning_beats_random_at_equal_budget(setup):
 
     assert error_active <= error_before
     assert error_active <= error_random + 1e-9
-
-
-# ----------------------------------------------------------------------
-# Model analysis
-# ----------------------------------------------------------------------
-
-
-def test_model_summary_counts(setup):
-    *_, parser = setup
-    summary = model_summary(parser.block_crf)
-    assert summary.n_states == 6
-    assert summary.n_parameters == parser.block_crf.index.n_features
-    assert 0 < summary.n_above_0_01 <= summary.n_nonzero
-    assert 0.0 <= summary.sparsity <= 1.0
-    assert summary.weight_max > 0
-
-
-def test_model_summary_requires_fit():
-    with pytest.raises(RuntimeError):
-        model_summary(__import__("repro.crf.model",
-                                 fromlist=["ChainCRF"]).ChainCRF(["a"]))
-
-
-def test_weight_mass_is_concentrated(setup):
-    *_, parser = setup
-    share = top_weight_share(parser.block_crf, fraction=0.05)
-    assert share > 0.3  # a few features carry most of the model
-    with pytest.raises(ValueError):
-        top_weight_share(parser.block_crf, fraction=0.0)
-
-
-def test_prune_preserves_accuracy(setup):
-    generator, train, _, test, _ = setup
-    parser = WhoisParser(l2=0.1, second_level=False).fit(train)
-    before = evaluate_parser(parser, test).line_error_rate
-    pruned = prune(parser.block_crf, threshold=1e-2)
-    assert pruned > 0
-    after = evaluate_parser(parser, test).line_error_rate
-    assert after <= before + 0.005  # near-zero weights carry no signal
-    summary = model_summary(parser.block_crf)
-    assert summary.n_nonzero < summary.n_parameters
-
-
-def test_prune_validates_threshold(setup):
-    *_, parser = setup
-    with pytest.raises(ValueError):
-        prune(parser.block_crf, threshold=-1.0)

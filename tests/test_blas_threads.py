@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.crf import train
-from repro.crf.features import Sequence
 from repro.crf.model import ChainCRF
 from repro.crf.train import one_blas_thread, openblas_libraries
+from tests.crf_data import indexed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,18 +60,20 @@ def two_blas_threads():
 
 
 def _tiny_crf_data():
-    seqs = [
-        Sequence(obs=[["a", "x"], ["b"], ["a"]], edge=[[], ["NL"], []]),
-        Sequence(obs=[["b"], ["x"]]),
-        Sequence(obs=[["a"]]),
-    ]
+    index, seqs = indexed(["p", "q"], [
+        ([["a", "x"], ["b"], ["a"]], [[], ["NL"], []]),
+        [["b"], ["x"]],
+        [["a"]],
+    ])
     labels = [["p", "q", "p"], ["q", "p"], ["p"]]
-    return seqs, labels
+    return index, seqs, labels
 
 
 def _fit_tiny(max_iterations=5):
-    seqs, labels = _tiny_crf_data()
-    return ChainCRF(["p", "q"], max_iterations=max_iterations).fit(seqs, labels)
+    index, seqs, labels = _tiny_crf_data()
+    return ChainCRF(["p", "q"], max_iterations=max_iterations).fit(
+        index, seqs, labels
+    )
 
 
 def test_fit_params_do_not_depend_on_the_blas_thread_count():

@@ -12,6 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.crf.features import EncodedSequence
 from repro.datagen import CorpusGenerator
 from repro.datagen.corpus import CorpusConfig
 from repro.parser import WhoisParser
@@ -39,37 +40,38 @@ def world():
 # ----------------------------------------------------------------------
 
 
+def _encoded(parser, texts):
+    encoder = LineEncoder(parser.featurizer, parser.block_crf.index)
+    return [encoder.encode_record(lines) for lines in texts]
+
+
 def test_predict_many_matches_predict(world):
     parser, _train, test = world
     crf = parser.block_crf
-    sequences = [
-        parser.featurizer.featurize_lines(r.lines) for r in test[:60]
-    ]
-    loop = [crf.predict(s) for s in sequences]
+    sequences = _encoded(parser, [r.lines for r in test[:60]])
+    loop = [crf.predict_many([s])[0] for s in sequences]
     assert crf.predict_many(sequences) == loop
     # Small chunks force multi-chunk batching with length-sorted rows.
     assert crf.predict_many(sequences, chunk_size=7) == loop
 
 
 def test_predict_many_accepts_encoded_sequences(world):
+    # Sequences built from per-token id lists decode as the encoder's
+    # packed ones do.
     parser, _train, test = world
     crf = parser.block_crf
-    sequences = [
-        parser.featurizer.featurize_lines(r.lines) for r in test[:30]
-    ]
-    encoded = [crf.index.encode(s) for s in sequences]
-    assert crf.predict_many(encoded) == [crf.predict(s) for s in sequences]
+    packed = _encoded(parser, [r.lines for r in test[:30]])
+    unpacked = [EncodedSequence(s.obs_ids, s.edge_ids) for s in packed]
+    assert crf.predict_many(unpacked) == crf.predict_many(packed)
 
 
 def test_predict_marginals_many_matches_per_sequence(world):
     parser, _train, test = world
     crf = parser.block_crf
-    sequences = [
-        parser.featurizer.featurize_lines(r.lines) for r in test[:30]
-    ]
+    sequences = _encoded(parser, [r.lines for r in test[:30]])
     many = crf.predict_marginals_many(sequences, chunk_size=11)
     for seq, batched in zip(sequences, many):
-        single = crf.predict_marginals(seq)
+        single = crf.predict_marginals_many([seq])[0]
         np.testing.assert_allclose(batched, single, atol=1e-10)
 
 
@@ -77,18 +79,19 @@ def test_predict_many_empty_and_single(world):
     parser, _train, test = world
     crf = parser.block_crf
     assert crf.predict_many([]) == []
-    seq = parser.featurizer.featurize_lines(test[0].lines)
-    assert crf.predict_many([seq]) == [crf.predict(seq)]
+    (seq,) = _encoded(parser, [test[0].lines])
+    assert crf.predict_many([seq]) == [parser.predict_blocks(test[0])]
 
 
 def test_predict_many_length_one_sequences(world):
     parser, _train, _test = world
     crf = parser.block_crf
-    sequences = [
-        parser.featurizer.featurize_lines(["Domain Name: EXAMPLE.COM"]),
-        parser.featurizer.featurize_lines(["Registrant:"]),
+    sequences = _encoded(
+        parser, [["Domain Name: EXAMPLE.COM"], ["Registrant:"]]
+    )
+    assert crf.predict_many(sequences) == [
+        crf.predict_many([s])[0] for s in sequences
     ]
-    assert crf.predict_many(sequences) == [crf.predict(s) for s in sequences]
 
 
 # ----------------------------------------------------------------------
@@ -188,25 +191,6 @@ def test_parse_many_without_second_level():
 # ----------------------------------------------------------------------
 # LineEncoder cache semantics
 # ----------------------------------------------------------------------
-
-
-def test_line_encoder_matches_featurize_then_encode(world):
-    parser, _train, test = world
-    index = parser.block_crf.index
-    encoder = LineEncoder(parser.featurizer, index)
-    for record in test[:20]:
-        reference = index.encode(
-            parser.featurizer.featurize_lines(record.lines)
-        )
-        encoded = encoder.encode_record(record.lines)
-        # Same id *sets* per token; the decoder sums over them, so order
-        # is immaterial.
-        assert [sorted(ids) for ids in encoded.obs_ids] == [
-            sorted(ids) for ids in reference.obs_ids
-        ]
-        assert [sorted(ids) for ids in encoded.edge_ids] == [
-            sorted(ids) for ids in reference.edge_ids
-        ]
 
 
 def test_bulk_encoders_invalidated_by_partial_fit(world):

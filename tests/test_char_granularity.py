@@ -31,6 +31,7 @@ from repro.whois.records import (
     labelable_units,
     segment_chars,
 )
+from tests.crf_data import names
 
 
 # ----------------------------------------------------------------------
@@ -136,18 +137,38 @@ def test_char_record_io_roundtrip():
 # ----------------------------------------------------------------------
 
 
+def _char_reference(featurizer, units):
+    """Per character, its ``(obs, edge)`` attribute names, intrinsic
+    then context: what the encoder's char path resolves to ids."""
+    return [
+        (obs + ctx_obs, edge + ctx_edge)
+        for (obs, edge), (ctx_obs, ctx_edge) in zip(
+            map(featurizer.char_attributes, units),
+            featurizer.char_context(units),
+        )
+    ]
+
+
 def test_char_featurize_text_matches_featurize_chars():
+    from repro.parser.bulk import fit_encoder
     from repro.whois.features import WhoisFeaturizer
 
     featurizer = WhoisFeaturizer(TOY.featurizer_config)
     text = "host:  8080\n"
-    by_text = featurizer.featurize_lines(featurizer.segment(text))
-    by_chars = featurizer.featurize_chars(segment_chars(text))
-    assert len(by_text) == len(segment_chars(text))
-    assert by_text.obs == by_chars.obs
-    assert by_text.edge == by_chars.edge
-
-
+    units = featurizer.segment(text)
+    assert units == segment_chars(text)
+    encoder = fit_encoder(featurizer, _LABELS, [units])
+    obs, edge = names(encoder.index, encoder.encode_record(units))
+    reference = _char_reference(featurizer, units)
+    assert len(obs) == len(reference) == len(units)
+    assert [sorted(attrs) for attrs in obs] == [
+        sorted(ref_obs) for ref_obs, _ in reference
+    ]
+    # The first character's edge attributes precede no transition, so
+    # they are not in a vocabulary built from this record alone.
+    assert [sorted(attrs) for attrs in edge[1:]] == [
+        sorted(ref_edge) for _, ref_edge in reference[1:]
+    ]
 def test_parser_splits_text_by_its_own_featurizer_config():
     # The featurizer's configuration decides the units, not the
     # domain's default, in both directions.
@@ -166,13 +187,16 @@ def test_char_line_encoder_matches_featurize_then_encode(toy_parser):
     encoder = LineEncoder(parser.featurizer, index)
     for record in corpus[:10]:
         units = [line.text for line in record.lines]
-        reference = index.encode(parser.featurizer.featurize_chars(units))
-        encoded = encoder.encode_record(units)
-        assert [sorted(ids) for ids in encoded.obs_ids] == [
-            sorted(ids) for ids in reference.obs_ids
+        obs, edge = names(index, encoder.encode_record(units))
+        # Featurize, then keep what the vocabulary knows.
+        reference = _char_reference(parser.featurizer, units)
+        assert [sorted(attrs) for attrs in obs] == [
+            sorted(a for a in ref_obs if a in index.obs_vocab)
+            for ref_obs, _ in reference
         ]
-        assert [sorted(ids) for ids in encoded.edge_ids] == [
-            sorted(ids) for ids in reference.edge_ids
+        assert [sorted(attrs) for attrs in edge] == [
+            sorted(a for a in ref_edge if a in index.edge_vocab)
+            for _, ref_edge in reference
         ]
 
 

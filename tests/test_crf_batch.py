@@ -19,14 +19,16 @@ from hypothesis import strategies as st
 
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.decode import batch_marginals, batch_viterbi
-from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
+from repro.crf.features import EncodedSequence
 from repro.crf.model import ChainCRF
 from repro.crf.objective import ParamView
+from tests.crf_data import indexed
 
 
 def random_sequences(rng, n_seqs, n_labels=3, vocab=8, max_len=6):
-    """Random sequences and label sequences over a tiny vocabulary, with
-    edge attributes; the last sequence has length 1."""
+    """Random encoded sequences and label sequences over a tiny
+    vocabulary, with edge attributes, and their index; the last sequence
+    has length 1."""
     words = [f"w{i}" for i in range(vocab)]
     markers = ["NL", "SHL"]
     labels = [f"y{i}" for i in range(n_labels)]
@@ -41,20 +43,19 @@ def random_sequences(rng, n_seqs, n_labels=3, vocab=8, max_len=6):
             list(rng.choice(markers, size=rng.integers(0, 3), replace=False))
             for _ in range(length)
         ]
-        seqs.append(Sequence(obs=obs, edge=edge))
+        seqs.append((obs, edge))
         label_seqs.append(list(rng.choice(labels, size=length)))
-    return seqs, label_seqs, labels
+    index, encoded = indexed(labels, seqs)
+    return encoded, label_seqs, index
 
 
 def random_dataset(rng, n_seqs, n_labels=3, vocab=8, max_len=6):
     """Random encoded ``(sequence, label ids)`` rows and their index."""
-    seqs, label_seqs, labels = random_sequences(
+    encoded, label_seqs, index = random_sequences(
         rng, n_seqs, n_labels, vocab, max_len
     )
-    index = FeatureIndex(labels).build(seqs)
     dataset = [
-        (index.encode(s), index.encode_labels(l))
-        for s, l in zip(seqs, label_seqs)
+        (seq, index.encode_labels(l)) for seq, l in zip(encoded, label_seqs)
     ]
     return dataset, index
 
@@ -127,18 +128,16 @@ def test_batched_log_partition_matches_per_sequence(seed):
 
 
 def test_empty_batch_rejected():
-    index = FeatureIndex(["a"]).build([Sequence(obs=[["x"]])])
+    index, _ = indexed(["a"], [[["x"]]])
     with pytest.raises(ValueError):
         EncodedBatch([], index)
 
 
 def test_batch_of_single_token_sequences():
-    seqs = [Sequence(obs=[["x"]]), Sequence(obs=[["y"]])]
+    index, seqs = indexed(["a", "b"], [[["x"]], [["y"]]])
     labels = [["a"], ["b"]]
-    index = FeatureIndex(["a", "b"]).build(seqs)
     dataset = [
-        (index.encode(s), index.encode_labels(l))
-        for s, l in zip(seqs, labels)
+        (seq, index.encode_labels(l)) for seq, l in zip(seqs, labels)
     ]
     rng = np.random.default_rng(0)
     params = rng.normal(size=index.n_features)
@@ -151,15 +150,12 @@ def test_batch_of_single_token_sequences():
 
 def test_ragged_lengths_mask_padding_correctly():
     # One long and one short sequence: padding must not leak into the NLL.
-    seqs = [
-        Sequence(obs=[["x"], ["y"], ["x"], ["y"], ["x"]]),
-        Sequence(obs=[["y"]]),
-    ]
+    index, seqs = indexed(
+        ["a", "b"], [[["x"], ["y"], ["x"], ["y"], ["x"]], [["y"]]]
+    )
     labels = [["a", "b", "a", "b", "a"], ["b"]]
-    index = FeatureIndex(["a", "b"]).build(seqs)
     dataset = [
-        (index.encode(s), index.encode_labels(l))
-        for s, l in zip(seqs, labels)
+        (seq, index.encode_labels(l)) for seq, l in zip(seqs, labels)
     ]
     rng = np.random.default_rng(4)
     params = rng.normal(size=index.n_features)
@@ -327,10 +323,11 @@ def test_design_matrices_reject_out_of_range_ids():
 @settings(max_examples=15, deadline=None)
 def test_predictions_are_bit_identical_to_scatter_potentials(n_seqs, seed):
     rng = np.random.default_rng(seed)
-    seqs, label_seqs, labels = random_sequences(rng, n_seqs)
-    crf = ChainCRF(labels, l2=0.5, max_iterations=5).fit(seqs, label_seqs)
+    encoded, label_seqs, index = random_sequences(rng, n_seqs)
+    crf = ChainCRF(index.labels, l2=0.5, max_iterations=5).fit(
+        index, encoded, label_seqs
+    )
     crf.params = crf.params + rng.normal(scale=0.5, size=crf.params.shape)
-    encoded = [crf.index.encode(seq) for seq in seqs]
     paths = crf.predict_many(encoded)
     marginals = crf.predict_marginals_many(encoded)
     # predict_many's batch: the rows sorted by length, one chunk.

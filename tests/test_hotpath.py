@@ -489,6 +489,31 @@ def test_line_encoder_drain_includes_full_skips(world):
     assert encoder.drain_cache_stats() == (0, 0, 0)  # deltas, not totals
 
 
+def test_header_context_memo_stays_under_the_cap(world):
+    # Every fresh block header with an indented line under it adds a
+    # header-context entry; a serving process must not grow with them.
+    parser, _texts, _model_dir = world
+    index = parser.block_crf.index
+    encoder = LineEncoder(parser.featurizer, index, cache_size=100)
+    records = [[f"Zq{i}x:", "   Indented line"] for i in range(5_000)]
+    for lines in records:
+        encoder.encode_record(lines)
+    assert len(encoder._ctx) <= 100
+    # Skipped line profiles and header contexts both count.
+    assert encoder.cache_full_skips >= 2 * (5_000 - 100)
+    # Past the cap a header resolves to the same ids as before it.
+    fresh = LineEncoder(parser.featurizer, index)
+    assert encoder.encode_record(records[-1]) == fresh.encode_record(records[-1])
+    # A cache file takes no more header contexts than the cap either.
+    full = LineEncoder(parser.featurizer, index, cache_size=10**6)
+    for lines in records[:300]:
+        full.encode_record(lines)
+    small = LineEncoder(parser.featurizer, index, cache_size=100)
+    small.load_cache_state(small.read_cache_arrays(full.cache_arrays()))
+    assert len(full._ctx) == 300
+    assert len(small._ctx) <= 100 and len(small._lines) <= 100
+
+
 def test_line_cache_counters_add_up_under_concurrent_batches(
     world, clean_registry
 ):

@@ -237,6 +237,46 @@ def test_partial_fit_adapts_to_new_format(trained):
     assert errors_after <= errors_before
 
 
+def test_partial_fit_keeps_old_ids_and_copies_old_weights(monkeypatch):
+    import numpy as np
+
+    from repro.crf import model
+    from repro.crf.objective import ParamView
+
+    corpus = CorpusGenerator(CorpusConfig(seed=101)).labeled_corpus(20)
+    parser = WhoisParser(l2=0.1, max_iterations=20).fit(corpus)
+    olds = [(crf, crf.index, crf.params.copy())
+            for crf in (parser.block_crf, parser.registrant_crf)]
+    starts = []
+
+    class Recording(model.LBFGSTrainer):
+        def fit(self, dataset, index, *, initial=None, **kwargs):
+            starts.append((index, initial.copy()))
+            return super().fit(dataset, index, initial=initial, **kwargs)
+
+    monkeypatch.setattr(model, "LBFGSTrainer", Recording)
+    novel = CorpusGenerator(CorpusConfig(seed=999)).new_tld_record("coop")
+    parser.partial_fit([novel], replay=corpus[:5])
+    assert [index for index, _ in starts] == [
+        parser.block_crf.index, parser.registrant_crf.index
+    ]
+    for (crf, old, old_params), (new, initial) in zip(olds, starts):
+        assert crf.index is new
+        for old_vocab, new_vocab, names in (
+            (old.obs_vocab, new.obs_vocab, new.obs_attribute_names()),
+            (old.edge_vocab, new.edge_vocab, new.edge_attribute_names()),
+        ):
+            assert old_vocab.items() <= new_vocab.items()
+            assert names[len(old_vocab):] == sorted(set(new_vocab) - set(old_vocab))
+        assert new.n_obs > old.n_obs
+        was, now = ParamView.of(old_params, old), ParamView.of(initial, new)
+        assert np.array_equal(now.start, was.start)
+        assert np.array_equal(now.trans, was.trans)
+        assert np.array_equal(now.obs[:old.n_obs], was.obs)
+        assert np.array_equal(now.edge[:old.n_edge], was.edge)
+        assert not now.obs[old.n_obs:].any() and not now.edge[old.n_edge:].any()
+
+
 def test_save_load_roundtrip(tmp_path, trained):
     parser, corpus, _ = trained
     parser.save(tmp_path / "model")

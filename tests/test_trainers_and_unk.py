@@ -3,24 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.crf.features import FeatureIndex, Sequence
 from repro.crf.train import LBFGSTrainer
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.parser import WhoisParser
 from repro.whois.features import WhoisFeaturizer
 from repro.whois.lexicon import Lexicon
+from tests.crf_data import indexed
 
 
 def _dataset(n=12):
-    seqs, labels = [], []
-    for i in range(n):
-        seqs.append(Sequence(obs=[["a"], ["b"]]))
-        labels.append(["x", "y"])
-    index = FeatureIndex(["x", "y"]).build(seqs)
-    return [
-        (index.encode(s), index.encode_labels(l))
-        for s, l in zip(seqs, labels)
-    ], index
+    index, seqs = indexed(["x", "y"], [[["a"], ["b"]]] * n)
+    return [(seq, index.encode_labels(["x", "y"])) for seq in seqs], index
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parser.bulk import fit_encoder
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
 from repro.whois.records import WhoisRecord, is_labelable
+from tests.crf_data import names
 
 
 FZR = WhoisFeaturizer()
+
+
+def featurize(lines, featurizer=FZR):
+    """Per labelable line, the ``(obs, edge)`` attribute names the
+    encoder gives it, on a vocabulary built from ``lines`` themselves
+    (so an edge attribute of the first line is not in it)."""
+    encoder = fit_encoder(featurizer, ["x"], [lines])
+    return names(encoder.index, encoder.encode_record(lines))
 
 
 def test_title_value_word_tagging():
@@ -57,37 +67,39 @@ def test_word_class_attrs_on_value():
 
 
 def test_featurize_lines_nl_marker():
-    seq = FZR.featurize_lines(["Domain Name: X.COM", "", "Registrant Name: J"])
-    assert len(seq) == 2
-    assert "NL" not in seq.obs[0]
-    assert "NL" in seq.obs[1]
-    assert "NL" in seq.edge[1]
+    obs, edge = featurize(["Domain Name: X.COM", "", "Registrant Name: J"])
+    assert len(obs) == 2
+    assert "NL" not in obs[0]
+    assert "NL" in obs[1]
+    assert "NL" in edge[1]
 
 
 def test_featurize_lines_symbol_only_line_counts_as_break():
-    seq = FZR.featurize_lines(["a: 1", "-----------", "b: 2"])
-    assert len(seq) == 2
-    assert "NL" in seq.obs[1]
+    obs, _edge = featurize(["a: 1", "-----------", "b: 2"])
+    assert len(obs) == 2
+    assert "NL" in obs[1]
 
 
 def test_featurize_lines_shift_markers():
-    seq = FZR.featurize_lines(["Registrant:", "   John Smith", "Domain: X"])
-    assert len(seq) == 3
-    assert "SHR" in seq.obs[1]
-    assert "SHL" in seq.obs[2]
-    assert "SHL" in seq.edge[2]
+    obs, edge = featurize(["Registrant:", "   John Smith", "Domain: X"])
+    assert len(obs) == 3
+    assert "SHR" in obs[1]
+    assert "SHL" in obs[2]
+    assert "SHL" in edge[2]
+    # The indented line sits under the "Registrant:" header.
+    assert "CTX:registrant" in obs[1] and "CTX:registrant" not in obs[2]
 
 
 def test_featurize_record_matches_labelable_lines():
     text = "Domain Name: X.COM\n\n%%%\nRegistrant Name: J\n   More: y"
     record = WhoisRecord(domain="x.com", text=text)
-    seq = FZR.featurize_lines(FZR.segment(record.text))
-    assert len(seq) == len(record)
+    obs, edge = featurize(FZR.segment(record.text))
+    assert len(obs) == len(edge) == len(record)
 
 
 def test_bias_attribute_always_present():
-    seq = FZR.featurize_lines(["a", "b: c"])
-    assert all("BIAS" in attrs for attrs in seq.obs)
+    obs, _edge = featurize(["a", "b: c"])
+    assert all("BIAS" in attrs for attrs in obs)
 
 
 def test_tv_tagging_ablation():
@@ -99,8 +111,8 @@ def test_tv_tagging_ablation():
 
 def test_markers_ablation():
     fzr = WhoisFeaturizer(FeaturizerConfig(markers=False))
-    seq = fzr.featurize_lines(["a: 1", "", "b: 2"])
-    assert "NL" not in seq.obs[1]
+    obs, _edge = featurize(["a: 1", "", "b: 2"], fzr)
+    assert "NL" not in obs[1]
 
 
 def test_classes_ablation():
@@ -111,9 +123,9 @@ def test_classes_ablation():
 
 def test_edge_markers_ablation():
     fzr = WhoisFeaturizer(FeaturizerConfig(edge_markers=False))
-    seq = fzr.featurize_lines(["a: 1", "", "b: 2"])
-    assert "NL" in seq.obs[1]  # observation marker retained
-    assert "NL" not in seq.edge[1]
+    obs, edge = featurize(["a: 1", "", "b: 2"], fzr)
+    assert "NL" in obs[1]  # observation marker retained
+    assert "NL" not in edge[1]
 
 
 def test_edge_words_ablation():
@@ -137,17 +149,17 @@ record_text = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_featurizer_alignment_invariant(lines):
     """One attribute list per labelable line, whatever the input."""
-    seq = FZR.featurize_lines(lines)
+    obs, edge = featurize(lines)
     expected = sum(1 for ln in lines if is_labelable(ln))
-    assert len(seq) == expected
-    assert len(seq.edge) == expected
-    for attrs in seq.obs:
+    assert len(obs) == expected
+    assert len(edge) == expected
+    for attrs in obs:
         assert "BIAS" in attrs
 
 
 @given(record_text)
 @settings(max_examples=50, deadline=None)
 def test_featurizer_is_deterministic(lines):
-    a = FZR.featurize_lines(lines)
-    b = FZR.featurize_lines(lines)
-    assert a.obs == b.obs and a.edge == b.edge
+    first, second = (fit_encoder(FZR, ["x"], [lines]) for _ in range(2))
+    assert first.index.to_dict() == second.index.to_dict()
+    assert first.encode_record(lines) == second.encode_record(lines)
