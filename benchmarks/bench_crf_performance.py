@@ -3,7 +3,8 @@
 These are classic pytest-benchmark targets (many rounds, statistics):
 the batched objective is the training bottleneck, Viterbi decoding the
 parse-time bottleneck; both underpin the 102M-record ambitions of
-Section 6.
+Section 6.  With ``--benchmark-disable`` each target runs once, untimed,
+and only its assertions are checked.
 """
 
 import numpy as np
@@ -43,13 +44,14 @@ def test_batched_objective_throughput(benchmark, encoded_world):
         return batch_nll_grad(params, [batch], index, l2=0.1)
 
     nll, _grad = benchmark(step)
-    tokens = batch.n_tokens
-    per_eval = benchmark.stats["mean"]
-    emit(
-        "Engine: batched objective (one L-BFGS evaluation, 200 records)",
-        f"{tokens} tokens/evaluation; {per_eval * 1000:.1f} ms/evaluation "
-        f"=> {tokens / per_eval:,.0f} tokens/s",
-    )
+    if benchmark.enabled:
+        tokens = batch.n_tokens
+        per_eval = benchmark.stats["mean"]
+        emit(
+            "Engine: batched objective (one L-BFGS evaluation, 200 records)",
+            f"{tokens} tokens/evaluation; {per_eval * 1000:.1f} "
+            f"ms/evaluation => {tokens / per_eval:,.0f} tokens/s",
+        )
     assert np.isfinite(nll)
 
 
@@ -62,13 +64,14 @@ def test_viterbi_parse_throughput(benchmark, encoded_world, trained_parser):
 
     results = benchmark(parse_all)
     assert len(results) == 50
-    per_batch = benchmark.stats["mean"]
-    emit(
-        "Engine: Viterbi block labeling (50 records/round)",
-        f"{50 / per_batch:,.0f} records/s "
-        f"(~{86_400 * 50 / per_batch / 1e6:,.0f}M records/day on one core "
-        f"-- the 102M com corpus is a day-scale parse)",
-    )
+    if benchmark.enabled:
+        per_batch = benchmark.stats["mean"]
+        emit(
+            "Engine: Viterbi block labeling (50 records/round)",
+            f"{50 / per_batch:,.0f} records/s "
+            f"(~{86_400 * 50 / per_batch / 1e6:,.0f}M records/day on one "
+            f"core -- the 102M com corpus is a day-scale parse)",
+        )
 
 
 def test_full_parse_throughput(benchmark, encoded_world, trained_parser):

@@ -228,26 +228,15 @@ class ChainCRF:
             sequences, decode, lambda _index: [], chunk_size=chunk_size
         )
 
-    def predict_marginals_many(
+    def predict_with_marginals_many(
         self,
         sequences: Sequence[EncodedSequence],
         *,
         chunk_size: int = 256,
-    ) -> list[np.ndarray]:
-        """Batched per-token posteriors, one ``(T, n_states)`` array each."""
-        return self._decode_many(
-            sequences,
-            batch_marginals,
-            lambda index: np.zeros((0, index.n_states)),
-            chunk_size=chunk_size,
-        )
-
-    def predict_with_marginals_many(
-        self,
-        sequences: Sequence[EncodedSequence],
     ) -> list[tuple[list[str], np.ndarray]]:
-        """Viterbi labels and per-token posteriors for many sequences,
-        both from one potentials pass per chunk."""
+        """Viterbi labels and per-token posteriors (one ``(T, n_states)``
+        array each) for many sequences, both from one potentials pass
+        per chunk."""
         index = self.index
 
         def decode(chunk, emit, trans):
@@ -262,7 +251,7 @@ class ChainCRF:
             sequences,
             decode,
             lambda index: ([], np.zeros((0, index.n_states))),
-            chunk_size=256,
+            chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------
@@ -309,23 +298,19 @@ class ChainCRF:
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Persist the model as ``<path>.json`` (index) + weight snapshots.
-
-        Weights are written twice: ``<path>.npz`` (compressed, the archival
-        format every prior snapshot used) and ``<path>.npy`` (the raw array,
-        page-aligned on disk) so :meth:`load` with ``mmap=True`` can map the
-        weights read-only instead of decompressing a private copy.
-        """
+        """Persist the model as ``<path>.json`` (labels, settings and
+        index) and ``<path>.npy``, the raw weight vector that
+        :meth:`load` maps or reads."""
         if self.index is None or self.params is None:
             raise RuntimeError("cannot save an unfitted model")
         path = Path(path)
         meta = {
             "labels": list(self._labels),
             "l2": self._l2,
+            "max_iterations": self._max_iterations,
             "index": self.index.to_dict(),
         }
         path.with_suffix(".json").write_text(json.dumps(meta))
-        np.savez_compressed(path.with_suffix(".npz"), params=self.params)
         _write_npy(path.with_suffix(".npy"), np.asarray(self.params))
 
     @classmethod
@@ -333,25 +318,30 @@ class ChainCRF:
         """Load a saved model.
 
         With ``mmap=True`` the weight vector is memory-mapped read-only
-        from the raw ``<path>.npy`` snapshot instead of decompressed into
-        private heap: every process that loads the same snapshot shares one
-        physical copy of the weights, and pickling the model (e.g. to a
-        spawned ``parse_many`` worker) ships a small
+        from ``<path>.npy``: every process that loads the same snapshot
+        shares one physical copy of the weights, and pickling the model
+        (e.g. to a spawned ``parse_many`` worker) ships a small
         ``(filename, dtype, shape, offset)`` descriptor instead of the
-        array bytes.  Snapshots predating the raw format are adopted by
-        materializing ``<path>.npy`` next to the ``.npz`` on first mmap
-        load; if the directory is not writable the load silently falls
-        back to the in-memory path.  Keys of older snapshots that no
-        longer configure anything (``"trainer"``, ``"min_count"``,
-        ``"min_edge_count"``) are ignored.
+        array bytes.  Otherwise the weights are read into a private
+        array.  A snapshot written before the raw format holds only a
+        compressed ``<path>.npz``; it loads eagerly, whatever ``mmap``
+        says, and the load writes nothing.  A snapshot without
+        ``"max_iterations"`` gets the default 200, and keys of older
+        snapshots that no longer configure anything (``"trainer"``,
+        ``"min_count"``, ``"min_edge_count"``) are ignored.
         """
         path = Path(path)
         meta = json.loads(path.with_suffix(".json").read_text())
-        model = cls(meta["labels"], l2=meta["l2"])
+        model = cls(
+            meta["labels"],
+            l2=meta["l2"],
+            max_iterations=meta.get("max_iterations", 200),
+        )
         model.index = FeatureIndex.from_dict(meta["index"])
-        if mmap:
-            model.params = _mmap_params(path)
-        if model.params is None:
+        npy = path.with_suffix(".npy")
+        if npy.exists():
+            model.params = np.load(npy, mmap_mode="r" if mmap else None)
+        else:
             with np.load(path.with_suffix(".npz")) as data:
                 model.params = data["params"]
         return model
@@ -413,19 +403,3 @@ def _write_npy(target: Path, array: np.ndarray) -> None:
     with open(tmp, "wb") as handle:
         np.save(handle, np.ascontiguousarray(array))
     os.replace(tmp, target)
-
-
-def _mmap_params(path: Path) -> np.ndarray | None:
-    """Memory-map ``<path>.npy``, adopting older ``.npz``-only snapshots.
-
-    Returns ``None`` (caller falls back to the eager ``.npz`` load) when
-    the raw snapshot is absent and cannot be materialized.
-    """
-    npy = path.with_suffix(".npy")
-    if not npy.exists():
-        try:
-            with np.load(path.with_suffix(".npz")) as data:
-                _write_npy(npy, data["params"])
-        except OSError:
-            return None
-    return np.load(npy, mmap_mode="r")

@@ -1,19 +1,11 @@
 """Evaluation harness: metrics, cross-validation, experiment drivers."""
 
-from repro.eval.metrics import (
-    confusion_matrix,
-    document_error_rate,
-    evaluate_parser,
-    line_error_rate,
-)
+from repro.eval.metrics import evaluate_parser
 from repro.eval.crossval import LearningCurvePoint, kfold, learning_curve
 
 __all__ = [
     "LearningCurvePoint",
-    "confusion_matrix",
-    "document_error_rate",
     "evaluate_parser",
     "kfold",
     "learning_curve",
-    "line_error_rate",
 ]

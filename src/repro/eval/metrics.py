@@ -80,23 +80,3 @@ def evaluate_parser(
         confusion=dict(confusion),
     )
 
-
-def line_error_rate(
-    parser: BlockLabeler, records: Iterable[LabeledRecord]
-) -> float:
-    """Convenience wrapper: just the line error rate over ``records``."""
-    return evaluate_parser(parser, records).line_error_rate
-
-
-def document_error_rate(
-    parser: BlockLabeler, records: Iterable[LabeledRecord]
-) -> float:
-    """Convenience wrapper: just the document error rate over ``records``."""
-    return evaluate_parser(parser, records).document_error_rate
-
-
-def confusion_matrix(
-    parser: BlockLabeler, records: Iterable[LabeledRecord]
-) -> dict[tuple[str, str], int]:
-    """``(gold, predicted) -> count`` over every mislabeled line."""
-    return evaluate_parser(parser, records).confusion

@@ -11,8 +11,8 @@ massively across records of the same registrar schema ("Registrant
 Name:", "Domain Status: clientTransferProhibited", privacy service
 boilerplate...), so :class:`LineEncoder` memoizes the entire line ->
 encoded-attribute-ids computation per *distinct* line of text.  A cache
-hit skips tokenization, separator splitting, word-classing, UNK lookup,
-and vocabulary resolution in one go; only the cheap layout-context
+hit skips tokenization, separator splitting, word-classing and
+vocabulary resolution in one go; only the cheap layout-context
 attributes (``NL``/``SHL``/``SHR`` markers and ``CTX:`` header context),
 which depend on neighboring lines, are appended per occurrence -- as
 pre-resolved ids.
@@ -44,7 +44,7 @@ class LineEncoder:
     """Memoizing ``line text -> encoded attribute ids`` for one index.
 
     One instance serves one ``(featurizer, FeatureIndex)`` pair: the
-    cached ids are only valid for the vocabulary (and lexicon) they were
+    cached ids are only valid for the vocabulary they were
     resolved against, so :class:`~repro.parser.statistical.WhoisParser`
     rebuilds its encoders whenever the model is (re)fitted -- and the
     persisted form (:meth:`cache_arrays`) is keyed on a vocabulary

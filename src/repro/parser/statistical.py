@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from functools import partial
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence as TypingSequence
 
@@ -59,6 +59,8 @@ class WhoisParser(ParserBase):
     unset, the domain's default configuration applies).  ``domain``
     selects the :class:`~repro.domain.DomainSpec` everything else
     resolves through -- label spaces, sub-block, and field assembly.
+    :attr:`settings` keeps these arguments: ``WhoisParser(**settings)``
+    is an unfitted twin, and a snapshot saves and restores them.
 
     Examples
     --------
@@ -77,7 +79,6 @@ class WhoisParser(ParserBase):
         featurizer_config: FeaturizerConfig | None = None,
         l2: float = 1.0,
         min_count: int = 1,
-        unk_min_count: int | None = None,
         max_iterations: int = 120,
         second_level: bool = True,
     ) -> None:
@@ -86,17 +87,22 @@ class WhoisParser(ParserBase):
         self.featurizer = WhoisFeaturizer(
             featurizer_config or self.spec.featurizer_config
         )
-        #: with unk_min_count set, fit() builds a dictionary from the
-        #: training corpus (trimming words rarer than the threshold) and
-        #: marks out-of-vocabulary words with explicit UNK attributes
-        self._unk_min_count = unk_min_count
-        #: attributes seen on fewer tokens of the training corpus are
-        #: trimmed from the dictionary (Section 3.3; see fit_encoder)
-        self._min_count = min_count
-        self._crf_kwargs = dict(l2=l2, max_iterations=max_iterations)
-        self.block_crf = ChainCRF(self.spec.block_labels, **self._crf_kwargs)
+        #: the constructor's arguments, with the domain by name and the
+        #: featurizer configuration resolved.  ``min_count`` trims
+        #: attributes seen on fewer training tokens from the dictionary
+        #: (Section 3.3; see fit_encoder).
+        self.settings = dict(
+            domain=self.spec.name,
+            featurizer_config=self.featurizer.config,
+            l2=l2,
+            min_count=min_count,
+            max_iterations=max_iterations,
+            second_level=second_level,
+        )
+        crf_kwargs = dict(l2=l2, max_iterations=max_iterations)
+        self.block_crf = ChainCRF(self.spec.block_labels, **crf_kwargs)
         self.registrant_crf = (
-            ChainCRF(self.spec.sub_labels, **self._crf_kwargs)
+            ChainCRF(self.spec.sub_labels, **crf_kwargs)
             if second_level and self.spec.has_second_level
             else None
         )
@@ -142,7 +148,7 @@ class WhoisParser(ParserBase):
                 self.featurizer,
                 crf.labels,
                 [units for units, _labels in fresh],
-                min_count=self._min_count,
+                min_count=self.settings["min_count"],
                 base=crf.index if extend else None,
                 profiles=profiles,
             )
@@ -171,12 +177,6 @@ class WhoisParser(ParserBase):
         records = list(records)
         if not records:
             raise ValueError("cannot train on an empty corpus")
-        if self._unk_min_count is not None:
-            from repro.whois.lexicon import Lexicon
-
-            lexicon = Lexicon()
-            lexicon.add_texts(record.text for record in records)
-            self.featurizer.lexicon = lexicon.freeze(self._unk_min_count)
         self._train(
             records,
             resume=resume,
@@ -335,8 +335,8 @@ class WhoisParser(ParserBase):
     def _encoders(self) -> tuple["LineEncoder", "LineEncoder | None"]:
         """The memoizing line encoders of the bulk path, built lazily.
 
-        Cached encodings are only valid for the current vocabularies and
-        lexicon, so ``fit``/``partial_fit`` drop them (see
+        Cached encodings are only valid for the current vocabularies,
+        so ``fit``/``partial_fit`` drop them (see
         :class:`repro.parser.bulk.LineEncoder`).
         """
         if self._bulk_encoders is None:
@@ -358,20 +358,14 @@ class WhoisParser(ParserBase):
             )
         return self._bulk_encoders
 
-    def _sharded(
-        self, body, records: list, jobs: int, chunk_size: int, start_method
-    ) -> list:
+    def _sharded(self, body, records: list, jobs: int, start_method) -> list:
         """``body`` (an unbound single-process bulk method) over
         ``jobs`` worker processes, one contiguous shard each, through
         :func:`repro.parallel.map_chunks`.  Each worker runs the whole
         pipeline on its shard and ships back only the small results."""
         with obs.trace("parse.sharded_seconds", jobs=str(jobs)):
             parts = map_chunks(
-                partial(body, chunk_size=chunk_size),
-                self,
-                records,
-                jobs,
-                start_method=start_method,
+                body, self, records, jobs, start_method=start_method
             )
         return [item for part in parts for item in part]
 
@@ -380,7 +374,6 @@ class WhoisParser(ParserBase):
         records: TypingSequence[WhoisRecord | LabeledRecord | str],
         *,
         jobs: int = 1,
-        chunk_size: int = 256,
         start_method: str | None = None,
     ) -> list[list[tuple[str, str, str | None]]]:
         """Bulk :meth:`label_lines` over many records.
@@ -398,15 +391,13 @@ class WhoisParser(ParserBase):
         if jobs > 1 and len(records) >= 2 * jobs:
             return self._sharded(
                 WhoisParser.label_lines_many,
-                records, jobs, chunk_size, start_method,
+                records, jobs, start_method,
             )
         _block_encoder, registrant_encoder = self._encoders()
         with obs.trace("parse.encode_seconds", level="block"):
             lines_per, encoded = self._encode_blocks(records)
         with obs.trace("parse.decode_seconds", level="block"):
-            blocks_per = self.block_crf.predict_many(
-                encoded, chunk_size=chunk_size
-            )
+            blocks_per = self.block_crf.predict_many(encoded)
         subs_per: list[list[str | None]] = [
             [None] * len(lines) for lines in lines_per
         ]
@@ -424,9 +415,7 @@ class WhoisParser(ParserBase):
                             )
                         )
             with obs.trace("parse.decode_seconds", level="registrant"):
-                sub_labels = self.registrant_crf.predict_many(
-                    segments, chunk_size=chunk_size
-                )
+                sub_labels = self.registrant_crf.predict_many(segments)
             for (r, start), subs in zip(spans, sub_labels):
                 subs_per[r][start:start + len(subs)] = subs
         self._flush_bulk_metrics(len(records))
@@ -482,7 +471,6 @@ class WhoisParser(ParserBase):
         records: TypingSequence[WhoisRecord | LabeledRecord | str],
         *,
         jobs: int = 1,
-        chunk_size: int = 256,
         start_method: str | None = None,
     ) -> list[ParsedRecord]:
         """Bulk :meth:`parse`: identical :class:`ParsedRecord` outputs,
@@ -498,9 +486,9 @@ class WhoisParser(ParserBase):
         if jobs > 1 and len(records) >= 2 * jobs:
             return self._sharded(
                 WhoisParser.parse_many,
-                records, jobs, chunk_size, start_method,
+                records, jobs, start_method,
             )
-        labeled_many = self.label_lines_many(records, chunk_size=chunk_size)
+        labeled_many = self.label_lines_many(records)
         with obs.trace("parse.assemble_seconds"):
             return [self._assemble(labeled) for labeled in labeled_many]
 
@@ -517,33 +505,26 @@ class WhoisParser(ParserBase):
         return self.block_crf.top_transition_features(k)
 
     def save(self, path: str | Path) -> None:
-        """Persist everything inference needs: both CRFs, the featurizer
-        configuration, and the frozen UNK lexicon (when one was built).
+        """Persist the parser: its :attr:`settings` and both CRFs.
 
         A loaded parser is prediction-equivalent to the original --
         ``parse_many`` over any corpus produces identical records -- which
         is what the serving tier's model registry
-        (:mod:`repro.serve.models`) relies on for hot-swap and rollback.
+        (:mod:`repro.serve.models`) relies on for hot-swap and rollback;
+        its :attr:`settings` equal the original's, so a retrain from it
+        fits under the same settings.
         """
-        from dataclasses import asdict
-
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         self.block_crf.save(path / "block")
-        meta = {
-            "domain": self.spec.name,
-            "trained_on": self._trained_on,
-            "has_second_level": self.registrant_crf is not None
-            and self.registrant_crf.is_fitted,
-            "featurizer_config": asdict(self.featurizer.config),
-            "lexicon": (
-                sorted(self.featurizer.lexicon.vocabulary)
-                if self.featurizer.lexicon is not None
-                else None
-            ),
-        }
-        if meta["has_second_level"]:
+        if self._has_second_level:
             self.registrant_crf.save(path / "registrant")
+        meta = {
+            **self.settings,
+            "featurizer_config": asdict(self.featurizer.config),
+            "trained_on": self._trained_on,
+            "has_second_level": self._has_second_level,
+        }
         (path / "parser.json").write_text(json.dumps(meta))
 
     @classmethod
@@ -563,40 +544,45 @@ class WhoisParser(ParserBase):
         the parser to a spawned ``parse_many`` worker ships a small file
         descriptor instead of the arrays.
 
-        The snapshot carries the domain it was trained for (snapshots
-        from before domains were pluggable count as ``whois``); pass
-        ``expect_domain`` to refuse snapshots of any other domain with a
-        typed :class:`~repro.errors.DomainMismatch` instead of a shape
-        crash deeper in the pipeline.
+        The parser is built from the snapshot's settings.  A setting an
+        older snapshot lacks takes the constructor's default, except
+        ``second_level``, which follows whether a second level was
+        saved; snapshots from before domains were pluggable count as
+        ``whois``.  Pass ``expect_domain`` to refuse snapshots of any
+        other domain with a typed :class:`~repro.errors.DomainMismatch`
+        instead of a shape crash deeper in the pipeline.  A snapshot
+        that carries an UNK lexicon is refused with a
+        :class:`~repro.errors.ReproError`: this version's featurizer
+        has no UNK attributes, so its weights for them could never fire.
         """
         path = Path(path)
         meta = json.loads((path / "parser.json").read_text())
-        snapshot_domain = meta.get("domain", "whois")
-        if expect_domain is not None and snapshot_domain != expect_domain:
+        settings = {
+            key: meta[key] for key in cls.__init__.__kwdefaults__ if key in meta
+        }
+        domain = settings.setdefault("domain", "whois")
+        if expect_domain is not None and domain != expect_domain:
             raise errors.DomainMismatch(
                 f"model snapshot at {path} was trained for domain "
-                f"{snapshot_domain!r}, not {expect_domain!r}"
+                f"{domain!r}, not {expect_domain!r}"
             )
-        config = meta.get("featurizer_config")
-        parser = cls(
-            domain=snapshot_domain,
-            featurizer_config=(
-                FeaturizerConfig(**config) if config is not None else None
-            ),
-        )
         if meta.get("lexicon") is not None:
-            from repro.whois.lexicon import Lexicon
-
-            parser.featurizer.lexicon = Lexicon.from_vocabulary(
-                meta["lexicon"]
+            raise errors.ReproError(
+                f"model snapshot at {path} carries an UNK lexicon, which "
+                f"this version does not support; retrain it"
             )
+        settings.setdefault("second_level", meta["has_second_level"])
+        if settings.get("featurizer_config") is not None:
+            settings["featurizer_config"] = FeaturizerConfig(
+                **settings["featurizer_config"]
+            )
+        parser = cls(**settings)
         parser.block_crf = ChainCRF.load(path / "block", mmap=mmap)
-        if meta["has_second_level"]:
-            parser.registrant_crf = ChainCRF.load(
-                path / "registrant", mmap=mmap
-            )
-        else:
-            parser.registrant_crf = None
+        parser.registrant_crf = (
+            ChainCRF.load(path / "registrant", mmap=mmap)
+            if meta["has_second_level"]
+            else None
+        )
         parser._trained_on = meta["trained_on"]
         return parser
 
@@ -607,8 +593,8 @@ class WhoisParser(ParserBase):
     def encoder_fingerprint(self) -> str:
         """Hash of everything the cached line encodings depend on.
 
-        Covers the featurizer configuration, the frozen UNK lexicon, and
-        both levels' observation/edge vocabularies: if any of these
+        Covers the domain, the featurizer configuration and both
+        levels' observation/edge vocabularies: if any of these
         change, previously cached attribute ids are meaningless, so a
         persisted cache carrying a different fingerprint must be
         discarded.  Retrains that leave the vocabularies unchanged (the
@@ -616,16 +602,10 @@ class WhoisParser(ParserBase):
         the warm start valid.
         """
         import hashlib
-        from dataclasses import asdict
 
         payload = {
             "domain": self.spec.name,
             "config": asdict(self.featurizer.config),
-            "lexicon": (
-                sorted(self.featurizer.lexicon.vocabulary)
-                if self.featurizer.lexicon is not None
-                else None
-            ),
             "block": (
                 [self.block_crf.index.obs_vocab,
                  self.block_crf.index.edge_vocab]

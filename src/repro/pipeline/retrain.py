@@ -170,18 +170,11 @@ class WarmStartRetrainer:
 
         The baseline the warm path is measured against: same final
         training set, optimizer started from zero.  ``template`` only
-        supplies the settings (a new parser is constructed for the same
-        domain, with the same CRF settings, featurizer configuration and
-        UNK threshold).
+        supplies the settings: the new parser is built from
+        :attr:`WhoisParser.settings
+        <repro.parser.statistical.WhoisParser.settings>`.
         """
-        fresh = WhoisParser(
-            domain=template.spec,
-            featurizer_config=template.featurizer.config,
-            unk_min_count=template._unk_min_count,
-            min_count=template._min_count,
-            **template._crf_kwargs,
-            second_level=template.registrant_crf is not None,
-        )
+        fresh = WhoisParser(**template.settings)
         started = perf_counter()
         with obs.trace("pipeline.retrain_seconds", mode="cold"):
             fresh.fit(list(corpus))

@@ -212,7 +212,7 @@ class SurveyStore(Protocol):
 
     def absorb(self, other: "SurveyStore") -> None:
         """Append every row of ``other`` in its order (the merge step of
-        sharded ingest)."""
+        sharded ingest, whose shards are sqlite files)."""
         ...
 
 
@@ -754,16 +754,17 @@ class SqliteStore:
 
     # -- merge / lifecycle ----------------------------------------------
 
-    def merge_file(self, shard_path: str | Path) -> int:
-        """Bulk-merge another replica's rows (a shard) into this one.
+    def absorb(self, other: "SqliteStore") -> None:
+        """Bulk-merge a file-backed replica's rows (a shard) into this one.
 
         Runs entirely inside sqlite (``ATTACH`` + ``INSERT .. SELECT``),
-        preserving the shard's internal order; returns the number of
-        entries merged.  This is the reduce step of sharded ingest.
+        preserving the shard's internal order.  This is the reduce step
+        of sharded ingest, whose shards are always sqlite files.
         """
+        other.flush()
         self.flush()
         # ATTACH/DETACH must run outside the merge transaction.
-        self._conn.execute("ATTACH DATABASE ? AS shard", (str(shard_path),))
+        self._conn.execute("ATTACH DATABASE ? AS shard", (str(other.path),))
         try:
             with self._conn:
                 before = self._conn.execute(
@@ -788,22 +789,6 @@ class SqliteStore:
         finally:
             self._conn.execute("DETACH DATABASE shard")
         obs.inc("survey.store.merged_rows", before)
-        return before
-
-    def absorb(self, other: "SurveyStore") -> None:
-        """Merge any store's rows into this replica (file merge when the
-        other side is also sqlite-backed, row copy otherwise)."""
-        other.flush()
-        if isinstance(other, SqliteStore) and other.path != ":memory:":
-            self.merge_file(other.path)
-            return
-        for entry in other.iter_entries():
-            self.append(entry)
-        for record in other.iter_quarantine():
-            self.append_quarantined(record)
-        for audit in other.iter_audits():
-            self.append_audit(audit)
-        self.flush()
 
     def close(self) -> None:
         """Flush pending batches and close the connection."""

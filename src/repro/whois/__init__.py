@@ -14,7 +14,6 @@ from repro.whois.text import (
     tokenize,
     word_classes,
 )
-from repro.whois.lexicon import Lexicon
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "FeaturizerConfig",
     "LabeledLine",
     "LabeledRecord",
-    "Lexicon",
     "WhoisFeaturizer",
     "WhoisRecord",
     "detect_symbol_start",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.whois.lexicon import Lexicon
 from repro.whois.records import segment_chars
 from repro.whois.text import (
     detect_symbol_start,
@@ -84,31 +83,20 @@ class FeaturizerConfig:
 class WhoisFeaturizer:
     """The attributes of WHOIS text, unit by unit.
 
-    Optionally carries a frozen :class:`Lexicon`: words outside its
-    vocabulary are *additionally* marked with ``UNK@T``/``UNK@V``
-    attributes, giving the model an explicit out-of-vocabulary signal on
-    never-seen templates (unknown words otherwise just contribute nothing).
-
     Analysis here is deliberately cache-free.  The encoder
     (:class:`repro.parser.bulk.LineEncoder`) layers a memoizing per-line
     *encoding* cache on top of :meth:`line_analysis`, exploiting the
     massive line repetition across records of the same registrar schema.
     """
 
-    def __init__(
-        self,
-        config: FeaturizerConfig | None = None,
-        *,
-        lexicon: Lexicon | None = None,
-    ) -> None:
-        """Featurizer with ``config`` switches and an optional fitted lexicon."""
+    def __init__(self, config: FeaturizerConfig | None = None) -> None:
+        """Featurizer with ``config`` switches."""
         self.config = config or FeaturizerConfig()
         if self.config.granularity not in ("line", "char"):
             raise ValueError(
                 f"unknown featurizer granularity "
                 f"{self.config.granularity!r}; expected 'line' or 'char'"
             )
-        self.lexicon = lexicon
 
     def segment(self, text: str) -> list[str]:
         """Split raw record text into this configuration's units.
@@ -179,12 +167,6 @@ class WhoisFeaturizer:
             obs += [w + "@V" for w in value_words]
         else:
             obs += [w + "@V" for w in title_words + value_words]
-        if self.lexicon is not None:
-            vocabulary = self.lexicon.vocabulary
-            if any(w not in vocabulary for w in title_words):
-                obs.append("UNK@T")
-            if any(w not in vocabulary for w in value_words):
-                obs.append("UNK@V")
         if cfg.plain_words:
             obs.extend(dict.fromkeys(title_words + value_words))
         if cfg.prefixes:

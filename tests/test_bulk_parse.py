@@ -36,7 +36,7 @@ def world():
 
 
 # ----------------------------------------------------------------------
-# ChainCRF.predict_many / predict_marginals_many
+# ChainCRF.predict_many / predict_with_marginals_many
 # ----------------------------------------------------------------------
 
 
@@ -69,9 +69,12 @@ def test_predict_marginals_many_matches_per_sequence(world):
     parser, _train, test = world
     crf = parser.block_crf
     sequences = _encoded(parser, [r.lines for r in test[:30]])
-    many = crf.predict_marginals_many(sequences, chunk_size=11)
-    for seq, batched in zip(sequences, many):
-        single = crf.predict_marginals_many([seq])[0]
+    # Small chunks force multi-chunk batching with length-sorted rows.
+    many = crf.predict_with_marginals_many(sequences, chunk_size=11)
+    assert [labels for labels, _ in many] == crf.predict_many(sequences)
+    for seq, (labels, batched) in zip(sequences, many):
+        ((single_labels, single),) = crf.predict_with_marginals_many([seq])
+        assert labels == single_labels
         np.testing.assert_allclose(batched, single, atol=1e-10)
 
 

@@ -329,7 +329,9 @@ def test_predictions_are_bit_identical_to_scatter_potentials(n_seqs, seed):
     )
     crf.params = crf.params + rng.normal(scale=0.5, size=crf.params.shape)
     paths = crf.predict_many(encoded)
-    marginals = crf.predict_marginals_many(encoded)
+    marginals = [
+        node for _path, node in crf.predict_with_marginals_many(encoded)
+    ]
     # predict_many's batch: the rows sorted by length, one chunk.
     order = sorted(range(n_seqs), key=lambda i: len(encoded[i]))
     rows = [encoded[i] for i in order]

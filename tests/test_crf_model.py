@@ -237,7 +237,7 @@ def test_transition_features_disambiguate_identical_observations():
 
 def test_predict_marginals_form_distribution():
     crf = _fit_weather(l2=0.5)
-    (marginals,) = crf.predict_marginals_many(
+    ((_labels, marginals),) = crf.predict_with_marginals_many(
         [encode(WEATHER, [["hot"], ["cold"]])]
     )
     np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-9)
@@ -323,12 +323,18 @@ def test_partial_fit_rejects_an_index_that_renumbers():
 
 
 def test_save_load_roundtrip(tmp_path):
-    crf = _fit_weather()
+    crf = ChainCRF(["h", "c"], l2=0.5, max_iterations=7).fit(
+        WEATHER, *_learnable_corpus(30)
+    )
     crf.save(tmp_path / "model")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.json", "model.npy"
+    ]
     clone = ChainCRF.load(tmp_path / "model")
+    assert (clone._l2, clone._max_iterations) == (0.5, 7)
     seq = encode(WEATHER, [["cold"], ["hot"]])
     assert clone.predict_many([seq]) == crf.predict_many([seq])
-    np.testing.assert_allclose(clone.params, crf.params)
+    np.testing.assert_array_equal(clone.params, crf.params)
 
 
 def test_snapshot_with_trimming_keys_loads(tmp_path):
@@ -341,9 +347,12 @@ def test_snapshot_with_trimming_keys_loads(tmp_path):
     assert "min_count" not in meta and "min_count" not in meta["index"]
     for record in (meta, meta["index"]):
         record.update(min_count=2, min_edge_count=1)
+    # Nor did they carry the iteration budget, which loads as 200.
+    del meta["max_iterations"]
     meta_path.write_text(json.dumps(meta))
     clone = ChainCRF.load(tmp_path / "model")
     assert clone.index.obs_vocab == WEATHER.obs_vocab
+    assert clone._max_iterations == 200
     seq = encode(WEATHER, [["cold"], ["hot"]])
     assert clone.predict_many([seq]) == crf.predict_many([seq])
 

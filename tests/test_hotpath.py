@@ -12,6 +12,7 @@ marginals alias another batch's.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import pickle
 import sys
@@ -97,17 +98,75 @@ def test_mmap_model_pickles_as_descriptor(world):
     assert restored.parse_many(texts[:5]) == eager.parse_many(texts[:5])
 
 
-def test_mmap_adopts_npz_only_snapshot(world, tmp_path):
+def _files(directory):
+    """Every file under ``directory`` with its size and mtime."""
+    return {
+        path: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in Path(directory).rglob("*")
+    }
+
+
+def _older_snapshot(parser, directory, *, keep_npy):
+    """Save ``parser`` in the layout written before a snapshot held its
+    settings: ``parser.json`` without them and with a null lexicon, no
+    iteration budget in the level files, and each level's weights as a
+    compressed ``.npz`` (beside the raw ``.npy`` when ``keep_npy``)."""
+    parser.save(directory)
+    meta_path = directory / "parser.json"
+    meta = json.loads(meta_path.read_text())
+    for key in ("l2", "min_count", "max_iterations", "second_level"):
+        del meta[key]
+    meta_path.write_text(json.dumps({**meta, "lexicon": None}))
+    for level in ("block", "registrant"):
+        level_path = directory / f"{level}.json"
+        level_meta = json.loads(level_path.read_text())
+        del level_meta["max_iterations"]
+        level_path.write_text(json.dumps(level_meta))
+        npy = directory / f"{level}.npy"
+        np.savez_compressed(directory / f"{level}.npz", params=np.load(npy))
+        if not keep_npy:
+            npy.unlink()
+
+
+def test_a_snapshot_writes_each_weight_vector_once(world, tmp_path):
+    parser, _texts, _model_dir = world
+    parser.save(tmp_path / "model")
+    assert sorted(path.name for path in (tmp_path / "model").iterdir()) == [
+        "block.json", "block.npy", "parser.json",
+        "registrant.json", "registrant.npy",
+    ]
+
+
+def _assert_loads_as_before(parser, texts, directory, *, maps):
+    """Both load modes parse as ``parser`` does, with the defaults for
+    the settings the snapshot lacks, and write nothing; with mmap the
+    weights are mapped only when ``maps``."""
+    before = _files(directory)
+    expected = parser.parse_many(texts)
+    for mmap in (False, True):
+        loaded = WhoisParser.load(directory, mmap=mmap)
+        assert loaded.parse_many(texts) == expected
+        mapped = isinstance(loaded.block_crf.params, np.memmap)
+        assert mapped == (mmap and maps)
+        assert loaded.settings == {
+            **parser.settings, "l2": 1.0, "max_iterations": 120,
+        }
+        assert loaded.block_crf._max_iterations == 200
+        assert loaded.block_crf._l2 == parser.block_crf._l2
+    assert _files(directory) == before
+
+
+def test_parent_layout_snapshot_loads_without_writing(world, tmp_path):
     parser, texts, _model_dir = world
-    legacy_dir = tmp_path / "legacy"
-    parser.save(legacy_dir)
-    for npy in legacy_dir.glob("*.npy"):
-        npy.unlink()
-    adopted = WhoisParser.load(legacy_dir, mmap=True)
-    assert isinstance(adopted.block_crf.params, np.memmap)
-    # The raw snapshot was materialized next to the .npz for next time.
-    assert any(legacy_dir.glob("*.npy"))
-    assert adopted.parse_many(texts[:5]) == parser.parse_many(texts[:5])
+    _older_snapshot(parser, tmp_path / "legacy", keep_npy=True)
+    _assert_loads_as_before(parser, texts, tmp_path / "legacy", maps=True)
+
+
+def test_mmap_adopts_npz_only_snapshot(world, tmp_path):
+    # A snapshot from before the raw format loads eagerly under mmap.
+    parser, texts, _model_dir = world
+    _older_snapshot(parser, tmp_path / "legacy", keep_npy=False)
+    _assert_loads_as_before(parser, texts, tmp_path / "legacy", maps=False)
 
 
 def test_spawn_path_matches_single_process(world):

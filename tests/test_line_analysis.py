@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
-from repro.whois.lexicon import Lexicon
 from repro.whois.text import (
     _find_colon,
     detect_symbol_start,
@@ -118,10 +117,6 @@ def ref_line_attributes(
     from repro.whois import text as text_module
 
     cfg = fzr.config
-
-    def unknown(word: str) -> bool:
-        return fzr.lexicon is not None and word not in fzr.lexicon
-
     obs: list[str] = ["BIAS"]
     edge: list[str] = []
     split = ref_split_title_value(line)
@@ -143,11 +138,6 @@ def ref_line_attributes(
         obs.extend(f"{w}@V" for w in value_words)
     else:
         obs.extend(f"{w}@V" for w in title_words + value_words)
-    if fzr.lexicon is not None:
-        if any(unknown(w) for w in title_words):
-            obs.append("UNK@T")
-        if any(unknown(w) for w in value_words):
-            obs.append("UNK@V")
     if cfg.plain_words:
         obs.extend(dict.fromkeys(title_words + value_words))
     if cfg.prefixes:
@@ -206,9 +196,6 @@ line_text = st.one_of(
 
 FEATURIZERS = [
     WhoisFeaturizer(),
-    WhoisFeaturizer(lexicon=Lexicon.from_vocabulary(
-        ["registrant", "name", "com", "example", "www", "http"]
-    )),
     WhoisFeaturizer(FeaturizerConfig(
         tv_tagging=False, plain_words=False, prefixes=False,
     )),

@@ -1,9 +1,11 @@
 """Tests for the two-level statistical parser and field extraction."""
 
 import datetime
+import json
 
 import pytest
 
+from repro import errors
 from repro.datagen import CorpusGenerator
 from repro.datagen.corpus import CorpusConfig
 from repro.parser import WhoisParser
@@ -295,30 +297,56 @@ def test_save_load_roundtrip_parse_many_equivalence(tmp_path, trained):
     assert clone.parse_many(texts) == parser.parse_many(texts)
 
 
-def test_save_load_preserves_featurizer_config_and_lexicon(tmp_path):
-    """Non-default feature switches and the UNK lexicon survive a save.
+def test_save_load_preserves_featurizer_config_and_settings(tmp_path):
+    """Non-default feature switches and fit settings survive a save.
 
     Serving loads models from disk (`repro serve --model-dir`), so a
     round trip must reproduce the featurization exactly -- a parser
     reloaded with default switches would silently emit different
-    attributes and mispredict.
+    attributes and mispredict -- and the maintenance loop retrains the
+    loaded parser, which must fit as the original would.
     """
     gen = CorpusGenerator(CorpusConfig(seed=77))
     corpus = gen.labeled_corpus(40)
     config = FeaturizerConfig(prefixes=False, plain_words=False)
     parser = WhoisParser(
-        featurizer_config=config, unk_min_count=2, l2=0.1
+        featurizer_config=config, min_count=2, l2=0.1, max_iterations=60
     ).fit(corpus[:30])
     parser.save(tmp_path / "model")
     clone = WhoisParser.load(tmp_path / "model")
     assert clone.featurizer.config == config
-    assert clone.featurizer.lexicon is not None
-    assert (
-        clone.featurizer.lexicon.vocabulary
-        == parser.featurizer.lexicon.vocabulary
-    )
+    assert clone.settings == parser.settings == {
+        "domain": "whois",
+        "featurizer_config": config,
+        "l2": 0.1,
+        "min_count": 2,
+        "max_iterations": 60,
+        "second_level": True,
+    }
+    for crf in (clone.block_crf, clone.registrant_crf):
+        assert (crf._l2, crf._max_iterations) == (0.1, 60)
     for record in corpus[30:]:
         assert clone.predict_blocks(record) == parser.predict_blocks(record)
+
+
+def test_settings_build_an_unfitted_twin(trained):
+    parser, _, _ = trained
+    twin = WhoisParser(**parser.settings)
+    assert twin.settings == parser.settings
+    assert not twin.block_crf.is_fitted
+    assert twin.featurizer.config == parser.featurizer.config
+
+
+def test_snapshot_with_a_lexicon_is_refused(tmp_path, trained):
+    """Snapshots of parsers that marked out-of-vocabulary words carry
+    the lexicon; this featurizer has no UNK attributes to give them."""
+    parser, _, _ = trained
+    parser.save(tmp_path / "model")
+    meta_path = tmp_path / "model" / "parser.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "lexicon": ["registrant"]}))
+    with pytest.raises(errors.ReproError, match="lexicon"):
+        WhoisParser.load(tmp_path / "model")
 
 
 def test_top_features_expose_table1_view(trained):

@@ -287,14 +287,49 @@ def test_cold_retrain_keeps_the_template_domain():
 
     corpus = get_domain("syslog").generator(seed=41).labeled_corpus(20)
     template = WhoisParser(
-        domain="syslog", l2=0.1, max_iterations=30, unk_min_count=2
+        domain="syslog", l2=0.1, max_iterations=30, min_count=2
     ).fit(corpus)
     fresh, report = WarmStartRetrainer.cold_retrain(template, corpus)
     assert fresh.spec.name == "syslog"
-    assert fresh._unk_min_count == 2
+    assert fresh.settings == template.settings
     assert not report.warm and report.n_new == len(corpus)
     parsed = fresh.parse_many([record.text for record in corpus])
     assert len(parsed) == len(corpus)
+
+
+@pytest.fixture(scope="module")
+def settings_world(tmp_path_factory):
+    corpus = CorpusGenerator(CorpusConfig(seed=2023)).labeled_corpus(36)
+    # A small first fit, so the warm retrain below runs into the budget.
+    original = WhoisParser(l2=0.1, max_iterations=30, min_count=2).fit(
+        corpus[:12]
+    )
+    model_dir = tmp_path_factory.mktemp("settings") / "model"
+    original.save(model_dir)
+    return original, corpus, model_dir
+
+
+def _params(parser):
+    return [parser.block_crf.params, parser.registrant_crf.params]
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_a_loaded_parser_retrains_as_the_original(settings_world, mmap):
+    """Loading keeps the fit's settings: a cold retrain of the loaded
+    parser and a warm one on it give the original's parameters, bit for
+    bit."""
+    original, corpus, model_dir = settings_world
+    loaded = WhoisParser.load(model_dir, mmap=mmap)
+    assert loaded.settings == original.settings
+    cold_loaded, _ = WarmStartRetrainer.cold_retrain(loaded, corpus)
+    cold_original, _ = WarmStartRetrainer.cold_retrain(original, corpus)
+    for got, want in zip(_params(cold_loaded), _params(cold_original)):
+        assert np.array_equal(got, want)
+    warm_original = copy.deepcopy(original)
+    for parser in (loaded, warm_original):
+        parser.partial_fit(corpus[12:])
+    for got, want in zip(_params(loaded), _params(warm_original)):
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

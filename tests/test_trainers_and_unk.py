@@ -1,13 +1,9 @@
-"""Tests for trainer behaviour details and UNK out-of-vocabulary handling."""
+"""Tests for trainer behaviour details."""
 
 import numpy as np
 import pytest
 
 from repro.crf.train import LBFGSTrainer
-from repro.datagen import CorpusConfig, CorpusGenerator
-from repro.parser import WhoisParser
-from repro.whois.features import WhoisFeaturizer
-from repro.whois.lexicon import Lexicon
 from tests.crf_data import indexed
 
 
@@ -58,37 +54,3 @@ def test_lbfgs_empty_dataset():
     with pytest.raises(ValueError):
         LBFGSTrainer().fit([], index)
 
-
-# ----------------------------------------------------------------------
-# UNK handling
-# ----------------------------------------------------------------------
-
-
-def test_featurizer_marks_oov_words():
-    lexicon = Lexicon()
-    lexicon.add_text("registrant name john")
-    lexicon.freeze()
-    fzr = WhoisFeaturizer(lexicon=lexicon)
-    obs, *_ = fzr.line_analysis("Registrant Name: John")
-    assert "UNK@T" not in obs and "UNK@V" not in obs
-    obs, *_ = fzr.line_analysis("Registrant Zorblax: Qwxyz")
-    assert "UNK@T" in obs and "UNK@V" in obs
-
-
-def test_featurizer_without_lexicon_has_no_unk():
-    obs, *_ = WhoisFeaturizer().line_analysis("Xyzzy: Plugh")
-    assert not any(a.startswith("UNK") for a in obs)
-
-
-def test_parser_unk_mode_trains_and_parses():
-    generator = CorpusGenerator(CorpusConfig(seed=1500))
-    corpus = generator.labeled_corpus(80)
-    parser = WhoisParser(l2=0.1, unk_min_count=2,
-                         second_level=False).fit(corpus[:60])
-    assert parser.featurizer.lexicon is not None
-    errors = total = 0
-    for record in corpus[60:]:
-        pred = parser.predict_blocks(record)
-        errors += sum(p != g for p, g in zip(pred, record.block_labels))
-        total += len(record.block_labels)
-    assert errors / total < 0.02

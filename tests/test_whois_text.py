@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.whois.lexicon import Lexicon
 from repro.whois.records import LabeledLine, LabeledRecord, WhoisRecord, is_labelable
 from repro.whois.text import (
     detect_symbol_start,
@@ -173,36 +172,6 @@ def test_allcaps_and_alpha():
 def test_word_classes_never_raise(text):
     classes = word_classes(text)
     assert len(set(classes)) == len(classes)
-
-
-# ----------------------------------------------------------------------
-# Lexicon
-# ----------------------------------------------------------------------
-
-
-def test_lexicon_counts_and_trims():
-    lex = Lexicon()
-    lex.add_texts(["alpha beta", "alpha gamma", "alpha beta"])
-    lex.freeze(min_count=2)
-    assert "alpha" in lex
-    assert "beta" in lex
-    assert "gamma" not in lex
-    assert len(lex) == 2
-    assert lex.most_common(1) == [("alpha", 3)]
-
-
-def test_lexicon_freeze_required():
-    lex = Lexicon()
-    with pytest.raises(RuntimeError):
-        _ = "x" in lex
-
-
-def test_lexicon_frozen_rejects_updates():
-    lex = Lexicon()
-    lex.add_text("a")
-    lex.freeze()
-    with pytest.raises(RuntimeError):
-        lex.add_text("b")
 
 
 # ----------------------------------------------------------------------
