@@ -24,10 +24,35 @@ batched across records: the per-timestep updates run as dense numpy ops
 over the whole batch, masked past each record's own length, in
 ``O(S^2 T)`` per record as eq. (10) promises.  A single record is simply
 a batch of one.
+
+Each step reduces over the summed-out label in a few whole-row passes,
+and each sum adds its terms in one fixed order, so the floats do not
+depend on how a step is laid out:
+
+- the forward step writes its scores C-ordered as (summed label ``i``,
+  row, label ``j``) straight from a strided view of ``trans``, so its
+  max and its sum over ``i`` add whole ``(R, S)`` slices in order ``i =
+  0, 1, ...`` -- the order a reduction over any non-last axis takes;
+- the backward step sums over ``j``, the last axis of its ``(R, S, S)``
+  table, and keeps that layout: on a last axis numpy adds fewer than
+  eight terms in order but eight or more pairwise, so summing the
+  12-label registrant level over a leading axis instead would move its
+  floats.  Only the step's max, which is exact in any order, is taken
+  another way (one whole-row ``maximum`` per column).
+
+Each row's recursion is its own, so a step runs only on the rows whose
+sequence reaches it (``EncodedBatch.active_rows``): a slice of the batch
+when they are contiguous, as in the length-sorted chunks inference
+decodes, else their indices.  No step copies ``trans`` whole or
+materializes a broadcast: each allocates only its own table of at most
+``(R, S, S)``.  The objective's edge marginals likewise run over the
+real transition slots alone, row by row; the padded slots would add
+exact zeros to the same sums in the same order.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -40,16 +65,27 @@ _NEG_INF = -1e30  # floor for log-sum-exp maxima; exp() underflows to 0
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-subtraction log-sum-exp along ``axis``.
+    """Max-subtraction log-sum-exp of ``x`` over ``axis`` (0 or -1).
 
-    Equivalent to ``scipy.special.logsumexp`` for finite inputs but
-    measurably faster on the small arrays the recursions iterate over
-    (no dispatch overhead, no keepdims bookkeeping beyond one squeeze).
+    ``x`` is a scratch table: it is overwritten with ``exp(x - max)``.
+    Over axis 0 of a C-ordered table the max and the sum each add whole
+    trailing slices in order.  Over the last axis numpy's own max runs
+    one short loop per row, so the max is taken one column at a time
+    instead (exact in any order); the sum stays numpy's last-axis sum.
     """
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.maximum(m, _NEG_INF)  # keep padded rows finite
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    if axis == 0:
+        m = x.max(axis=0)
+    else:
+        m = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(m, x[..., j], out=m)
+    np.maximum(m, _NEG_INF, out=m)  # an all -inf row gives -inf, not NaN
+    x -= m if axis == 0 else m[..., None]
+    np.exp(x, out=x)
+    out = x.sum(axis=axis)
+    np.log(out, out=out)
+    out += m
+    return out
 
 
 def _design_matrix(counts: np.ndarray, ids: np.ndarray, n_ids: int) -> csr_array:
@@ -187,19 +223,53 @@ class EncodedBatch:
         trans += view.trans.reshape(1, n_s * n_s)
         return emit, trans.reshape(n_r, t1, n_s, n_s)
 
+    @cached_property
+    def active_rows(self) -> list[slice | np.ndarray]:
+        """For each position ``t``, the rows whose sequence reaches ``t``:
+        a slice when they are contiguous (at every position of a batch
+        sorted by length), else their indices.
+
+        Each row's recursion is its own, so the recursions step only
+        these rows and leave the padding alone.
+        """
+        mask = self.token_mask
+        count = mask.sum(axis=0)
+        first = mask.argmax(axis=0)
+        last = self.n_records - 1 - mask[::-1].argmax(axis=0)
+        return [
+            slice(int(first[t]), int(last[t]) + 1)
+            if last[t] - first[t] + 1 == count[t]
+            else np.flatnonzero(mask[:, t])
+            for t in range(self.t_max)
+        ]
+
+    @cached_property
+    def gold_tokens(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r, t, y)`` of every real token, row by row: its record, its
+        position and its gold label (found once per batch)."""
+        r_idx, t_idx = np.nonzero(self.token_mask)
+        return r_idx, t_idx, self.labels[r_idx, t_idx]
+
+    @cached_property
+    def gold_transitions(self) -> tuple[np.ndarray, ...]:
+        """``(r, t, y_t, y_t+1)`` of every real transition slot, row by
+        row, and the rows of ``edge_matrix`` for those slots, in order."""
+        r_idx, t_idx = np.nonzero(self.trans_mask)
+        return (
+            r_idx,
+            t_idx,
+            self.labels[r_idx, t_idx],
+            self.labels[r_idx, t_idx + 1],
+            self.edge_matrix[np.flatnonzero(self.trans_mask)],
+        )
+
     def observed_score(self, emit: np.ndarray, trans: np.ndarray) -> float:
         """Sum of potentials along the gold label paths of the batch."""
-        r_idx, t_idx = np.nonzero(self.token_mask)
-        score = float(emit[r_idx, t_idx, self.labels[r_idx, t_idx]].sum())
+        r_idx, t_idx, labels = self.gold_tokens
+        score = float(emit[r_idx, t_idx, labels].sum())
         if self.t_max > 1:
-            r_idx, t_idx = np.nonzero(self.trans_mask)
-            score += float(
-                trans[
-                    r_idx, t_idx,
-                    self.labels[r_idx, t_idx],
-                    self.labels[r_idx, t_idx + 1],
-                ].sum()
-            )
+            r_idx, t_idx, y_t, y_next, _rows = self.gold_transitions
+            score += float(trans[r_idx, t_idx, y_t, y_next].sum())
         return score
 
 
@@ -214,26 +284,34 @@ def batch_forward_backward(
     last token alpha carries forward and beta stays 0.
     """
     n_r, t_max, n_s = emit.shape
+    steps = batch.active_rows
     alpha = np.empty((n_r, t_max, n_s))
     alpha[:, 0] = emit[:, 0]
     for t in range(1, t_max):
-        prev = alpha[:, t - 1]
-        scores = prev[:, :, None] + trans[:, t - 1]
-        new = _logsumexp(scores, axis=1) + emit[:, t]
-        active = batch.token_mask[:, t]
-        alpha[:, t] = np.where(active[:, None], new, prev)
+        rows = steps[t]
+        alpha[:, t] = alpha[:, t - 1]
+        # scores[i, r, j] = alpha[r, t-1, i] + trans[r, t-1, i, j], summed
+        # label first: both reductions add whole (R, S) slices.
+        scores = np.add(
+            trans[rows, t - 1].transpose(1, 0, 2),
+            alpha[rows, t - 1].T[:, :, None],
+            order="C",
+        )
+        new = _logsumexp(scores, axis=0)
+        new += emit[rows, t]
+        alpha[rows, t] = new
     # logZ reads alpha at each record's final token.
     last = batch.lengths - 1
-    log_z = _logsumexp(alpha[np.arange(n_r), last], axis=1)
+    log_z = _logsumexp(alpha[np.arange(n_r), last], axis=-1)
 
     beta = np.zeros((n_r, t_max, n_s))
     for t in range(t_max - 2, -1, -1):
-        nxt = emit[:, t + 1] + beta[:, t + 1]
-        scores = trans[:, t] + nxt[:, None, :]
-        new = _logsumexp(scores, axis=2)
-        # Positions at/after the final token keep beta = 0.
-        active = batch.token_mask[:, t + 1]
-        beta[:, t] = np.where(active[:, None], new, beta[:, t])
+        rows = steps[t + 1]
+        nxt = emit[rows, t + 1] + beta[rows, t + 1]
+        # scores[r, i, j], summed over the last axis (see the module
+        # docstring for why this sum keeps its layout).
+        scores = trans[rows, t] + nxt[:, None, :]
+        beta[rows, t] = _logsumexp(scores, axis=-1)
     return alpha, beta, log_z
 
 
@@ -271,32 +349,29 @@ def _batch_nll_grad(
     nll = float(log_z.sum()) - batch.observed_score(emit, trans)
 
     # Node marginals, zeroed on padding.
-    node = np.exp(alpha + beta - log_z[:, None, None])
+    node = alpha + beta
+    node -= log_z[:, None, None]
+    np.exp(node, out=node)
     node *= batch.token_mask[:, :, None]
     # Subtract observed counts.
-    r_idx, t_idx = np.nonzero(batch.token_mask)
-    node[r_idx, t_idx, batch.labels[r_idx, t_idx]] -= 1.0
+    node[batch.gold_tokens] -= 1.0
 
     grad_view.start += node[:, 0, :].sum(axis=0)
     grad_view.obs += batch.obs_matrix.T @ node.reshape(-1, n_s)
 
     if batch.t_max > 1:
-        edges = np.exp(
-            alpha[:, :-1, :, None]
-            + trans
-            + (emit[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-        edges *= batch.trans_mask[:, :, None, None]
-        r_idx, t_idx = np.nonzero(batch.trans_mask)
-        edges[
-            r_idx, t_idx,
-            batch.labels[r_idx, t_idx],
-            batch.labels[r_idx, t_idx + 1],
-        ] -= 1.0
-        grad_view.trans += edges.sum(axis=(0, 1))
-        if batch.edge_matrix.nnz:
+        # Edge marginals of the real transitions only, row by row: the
+        # padded slots would add exact zeros to both sums below.
+        r_idx, t_idx, y_t, y_next, edge_rows = batch.gold_transitions
+        edges = trans[r_idx, t_idx]
+        edges += alpha[r_idx, t_idx][:, :, None]
+        edges += (emit[r_idx, t_idx + 1] + beta[r_idx, t_idx + 1])[:, None, :]
+        edges -= log_z[r_idx][:, None, None]
+        np.exp(edges, out=edges)
+        edges[np.arange(len(r_idx)), y_t, y_next] -= 1.0
+        grad_view.trans += edges.sum(axis=0)
+        if edge_rows.nnz:
             grad_view.edge += (
-                batch.edge_matrix.T @ edges.reshape(-1, n_s * n_s)
+                edge_rows.T @ edges.reshape(-1, n_s * n_s)
             ).reshape(-1, n_s, n_s)
     return nll

@@ -10,6 +10,15 @@ Both routines take an :class:`~repro.crf.batch.EncodedBatch` (built via
 :meth:`EncodedBatch.from_encoded` for inference, labels not required)
 plus the batch potentials ``emit (R, T, S)`` / ``trans (R, T-1, S, S)``,
 and return per-record arrays trimmed to each sequence's true length.
+
+A Viterbi step lays its scores out as the forward step of
+:mod:`repro.crf.batch` does, C-ordered as (previous label, row, label),
+so its ``argmax`` and ``max`` over the previous label compare whole
+``(R, S)`` slices; the best value is the ``max`` itself, the very float
+the ``argmax`` points at.  A max is exact in any order, so the paths
+and values do not depend on the layout; ties still go to the first
+label.  Like the recursions, a step runs only on the rows whose sequence
+reaches it; the others carry their values forward.
 """
 
 from __future__ import annotations
@@ -29,19 +38,23 @@ def batch_viterbi(
     trimmed copy, so holding it does not keep the padded tables alive.
     """
     n_r, t_max, n_s = emit.shape
+    steps = batch.active_rows
     value = emit[:, 0].copy()  # eq. (14), carried forward on padding
-    back = np.empty((n_r, max(t_max - 1, 0), n_s), dtype=np.intp)
+    back = np.zeros((n_r, max(t_max - 1, 0), n_s), dtype=np.intp)
     rows = np.arange(n_r)
     for t in range(1, t_max):
-        scores = value[:, :, None] + trans[:, t - 1]  # eq. (15) inner bracket
-        best_prev = np.argmax(scores, axis=1)  # eq. (16)
-        back[:, t - 1] = best_prev
-        new = (
-            np.take_along_axis(scores, best_prev[:, None, :], axis=1)[:, 0, :]
-            + emit[:, t]
+        active = steps[t]
+        # eq. (15)'s inner bracket, previous label first:
+        # scores[i, r, j] = value[r, i] + trans[r, t-1, i, j].
+        scores = np.add(
+            trans[active, t - 1].transpose(1, 0, 2),
+            value[active].T[:, :, None],
+            order="C",
         )
-        active = batch.token_mask[:, t]
-        value = np.where(active[:, None], new, value)
+        back[active, t - 1] = scores.argmax(axis=0)  # eq. (16)
+        new = scores.max(axis=0)
+        new += emit[active, t]
+        value[active] = new
     # `value` now holds each record's Viterbi values at its *own* final
     # token (padding steps never overwrite it).
     last = batch.lengths - 1

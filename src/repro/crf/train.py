@@ -181,7 +181,12 @@ CheckpointHook = Callable[[TrainerState], None]
 
 @dataclass
 class TrainLog:
-    """Objective values observed during training (one per evaluation)."""
+    """Objective values observed during training (one per evaluation).
+
+    ``n_iterations`` counts objective evaluations, L-BFGS-B's line-search
+    trials included, not optimizer iterations: those are
+    ``final_state.iterations_done``.
+    """
 
     objective_values: list[float] = field(default_factory=list)
     n_iterations: int = 0
@@ -253,7 +258,11 @@ class LBFGSTrainer:
             log.record(nll)
             # Per-evaluation observability hooks (Section 5's "watch the
             # parser train" story): loss trajectory, gradient norm, and
-            # the cost of each objective evaluation.
+            # the cost of each objective evaluation.  The
+            # `train.iterations` counter and `train.iteration_seconds`
+            # count evaluations, line-search trials included, like
+            # `TrainLog.n_iterations`; the callback below counts L-BFGS
+            # iterations (`TrainerState.iterations_done`).
             if obs.active() is not None:
                 obs.inc("train.iterations", trainer="lbfgs")
                 obs.set_gauge("train.loss", nll, trainer="lbfgs")
