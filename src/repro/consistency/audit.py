@@ -162,7 +162,6 @@ def run_audit(
     shards: int = 1,
     gate=None,
     stats=None,
-    batch_size: int = 2000,
 ) -> "tuple[SurveyDatabase, AuditSummary]":
     """Audit a whole crawl: ingest + diff through the sharded pipeline.
 
@@ -177,8 +176,7 @@ def run_audit(
     jobs, _missing = attach_rdap(list(jobs), rdap_lookup)
     with obs.trace("consistency.audit_seconds", shards=str(shards)):
         db = sharded_ingest(
-            jobs, parser, store=store, shards=shards, gate=gate,
-            stats=stats, batch_size=batch_size,
+            jobs, parser, store=store, shards=shards, gate=gate, stats=stats
         )
     summary = summarize_audits(db.store)
     obs.set_gauge("consistency.disagreement_rate", summary.disagreement_rate)

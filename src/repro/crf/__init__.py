@@ -10,8 +10,9 @@ batched over padded sequences (:mod:`repro.crf.batch`,
 :mod:`repro.crf.decode`); a single sequence is a batch of one.
 
 The public entry point is :class:`ChainCRF`, which consumes *encoded*
-sequences (:class:`EncodedSequence`: per token, the ids a
-:class:`FeatureIndex` gives its attributes) and label sequences, and
+sequences (:class:`EncodedSequence`: the ids a :class:`FeatureIndex`
+gives each token's attributes, packed as flat ids with per-token
+counts) and label sequences, and
 learns binary features of the two forms used by the paper:
 ``f(y_t, x_t)`` observation features and ``f(y_{t-1}, y_t, x_t)``
 transition features.  The package holds no text: the parser's

@@ -53,7 +53,6 @@ exact zeros to the same sums in the same order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -86,6 +85,22 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     np.log(out, out=out)
     out += m
     return out
+
+
+def _padded(
+    counts: list[np.ndarray], sizes: np.ndarray, width: int
+) -> np.ndarray:
+    """Record ``r``'s ``sizes[r]`` per-slot ``counts`` placed at slots
+    ``r*width ...`` of a padded ``(R*width,)`` axis, zeros elsewhere."""
+    offset = np.arange(len(sizes), dtype=np.intp) * width - (
+        np.cumsum(sizes) - sizes
+    )
+    slots = np.repeat(offset, sizes) + np.arange(
+        int(sizes.sum()), dtype=np.intp
+    )
+    padded = np.zeros(len(sizes) * width, dtype=np.intp)
+    padded[slots] = np.concatenate(counts)
+    return padded
 
 
 def _design_matrix(counts: np.ndarray, ids: np.ndarray, n_ids: int) -> csr_array:
@@ -138,17 +153,15 @@ class EncodedBatch:
         t1 = max(t_max - 1, 0)
         self.n_records, self.t_max = n_records, t_max
         self.labels = np.full((n_records, t_max), -1, dtype=np.intp)
-        # Observation ids come pre-packed from each sequence (flat array
-        # + per-token counts), so the batch's matrix needs two
-        # concatenations and one scatter of the counts onto the padded
-        # rows -- no per-token numpy call on the bulk-decode hot path.
-        # Edge id lists stay list-shaped: they are sparse (block
-        # boundaries only) and the per-record loop over them is cheap.
-        obs_flat_parts: list[np.ndarray] = []
-        obs_count_parts: list[np.ndarray] = []
-        edge_pos: list[int] = []
-        edge_counts: list[int] = []
-        edge_lists: list[list[int]] = []
+        # Every sequence comes packed (flat ids + per-token counts), so
+        # each matrix takes one concatenation of the ids and one scatter
+        # of the counts onto the padded rows: no per-token numpy call.
+        # A record's first token has no transition into it, so its edge
+        # ids and count are dropped.
+        obs_flat: list[np.ndarray] = []
+        obs_counts: list[np.ndarray] = []
+        edge_flat: list[np.ndarray] = []
+        edge_counts: list[np.ndarray] = []
         for r, (seq, labels) in enumerate(dataset):
             if labels is not None:
                 if len(labels) != len(seq):
@@ -156,46 +169,25 @@ class EncodedBatch:
                         f"sequence of length {len(seq)} has {len(labels)} labels"
                     )
                 self.labels[r, : len(seq)] = labels
-            obs_flat, obs_counts = seq.packed_obs()
-            obs_flat_parts.append(obs_flat)
-            obs_count_parts.append(obs_counts)
-            for t, ids in enumerate(seq.edge_ids):
-                if t and ids:
-                    edge_pos.append(r * t1 + t - 1)
-                    edge_counts.append(len(ids))
-                    edge_lists.append(ids)
-        # Flattened (R*T) position of every real token: record r's token t
-        # sits at r*t_max + t, built by offsetting a global arange per
-        # record (one repeat over records, not one per record).
-        n_tokens = int(self.lengths.sum())
-        row_offset = (
-            np.arange(n_records, dtype=np.intp) * t_max
-            - (np.cumsum(self.lengths) - self.lengths)
-        )
-        token_pos = np.repeat(row_offset, self.lengths) + np.arange(
-            n_tokens, dtype=np.intp
-        )
-        obs_counts = np.zeros(n_records * t_max, dtype=np.intp)
-        obs_counts[token_pos] = np.concatenate(obs_count_parts)
+            obs_flat.append(seq.obs_flat)
+            obs_counts.append(seq.obs_counts)
+            edge_flat.append(seq.edge_flat[seq.edge_counts[0]:])
+            edge_counts.append(seq.edge_counts[1:])
         self.obs_matrix = _design_matrix(
-            obs_counts, np.concatenate(obs_flat_parts), index.n_obs
+            _padded(obs_counts, self.lengths, t_max),
+            np.concatenate(obs_flat),
+            index.n_obs,
         )
-        edge_slot_counts = np.zeros(n_records * t1, dtype=np.intp)
-        edge_slot_counts[edge_pos] = edge_counts
         self.edge_matrix = _design_matrix(
-            edge_slot_counts,
-            np.fromiter(
-                chain.from_iterable(edge_lists),
-                dtype=np.intp,
-                count=sum(edge_counts),
-            ),
+            _padded(edge_counts, self.lengths - 1, t1),
+            np.concatenate(edge_flat),
             index.n_edge,
         )
         # Masks of valid tokens and of valid transitions (t < length-1).
         steps = np.arange(t_max)
         self.token_mask = steps[None, :] < self.lengths[:, None]
         self.trans_mask = steps[None, : t_max - 1] < (self.lengths - 1)[:, None]
-        self.n_tokens = n_tokens
+        self.n_tokens = int(self.lengths.sum())
 
     @classmethod
     def from_encoded(
@@ -205,20 +197,13 @@ class EncodedBatch:
         return cls([(seq, None) for seq in sequences], index)
 
     def potentials(self, view: ParamView) -> tuple[np.ndarray, np.ndarray]:
-        """Batch emission ``(R,T,S)`` and transition ``(R,T-1,S,S)`` scores.
-
-        When no edge attributes fire the transition block is a read-only
-        broadcast view of ``view.trans`` -- zero copies for the common
-        homogeneous case.
-        """
+        """Batch emission ``(R,T,S)`` and transition ``(R,T-1,S,S)`` scores."""
         n_r, t_max, n_s = self.n_records, self.t_max, self.n_states
         t1 = max(t_max - 1, 0)
         emit = (self.obs_matrix @ view.obs).reshape(n_r, t_max, n_s)
         emit[:, 0, :] += view.start[None, :]
         # Padding rows of the matrices are empty, so padded tokens score
         # 0; the recursions never read past each sequence's length.
-        if not self.edge_matrix.nnz:
-            return emit, np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
         trans = self.edge_matrix @ view.edge.reshape(len(view.edge), n_s * n_s)
         trans += view.trans.reshape(1, n_s * n_s)
         return emit, trans.reshape(n_r, t1, n_s, n_s)

@@ -19,85 +19,62 @@ model as eq. (2) of the paper, just stored compactly.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 
 class EncodedSequence:
-    """One instance: ``obs_ids[t]``, the attribute ids of token ``t``'s
-    observation features, and ``edge_ids[t]``, those of the transition
-    into it (``edge_ids[0]`` is ignored: the paper's footnote on
-    features without ``y_{t-1}``).
+    """One instance, packed: ``obs_flat`` holds the observation
+    attribute ids of every token, token after token, and
+    ``obs_counts[t]`` how many of them are token ``t``'s; ``edge_flat``
+    and ``edge_counts`` hold the ids of the transition into each token
+    the same way (token 0's are ignored: the paper's footnote on
+    features without ``y_{t-1}``).  All four are intp arrays.
 
-    Observation ids are stored *packed* -- all ids concatenated, plus
-    per-token counts -- the form :class:`~repro.crf.batch.EncodedBatch`
-    consumes, so batch construction is array concatenation instead of a
-    per-token loop; the bulk :class:`~repro.parser.bulk.LineEncoder`
-    builds this form directly.  ``obs_ids`` unpacks them into per-token
-    lists.  Edge ids stay per-token lists (``edge_ids``): they are
-    sparse, firing at block boundaries only.
+    Title words and layout markers make transition features fire on
+    nearly every line, so both kinds share the one form
+    :class:`~repro.crf.batch.EncodedBatch` consumes: building a batch is
+    array concatenation, with no per-token loop.  The
+    :class:`~repro.parser.bulk.LineEncoder` builds this form directly.
     """
 
-    __slots__ = ("edge_ids", "_obs_flat", "_obs_counts")
+    __slots__ = ("obs_flat", "obs_counts", "edge_flat", "edge_counts")
 
     def __init__(
-        self, obs_ids: list[list[int]], edge_ids: list[list[int]]
+        self,
+        obs_flat: Sequence[int] | np.ndarray,
+        obs_counts: Sequence[int] | np.ndarray,
+        edge_flat: Sequence[int] | np.ndarray,
+        edge_counts: Sequence[int] | np.ndarray,
     ) -> None:
-        """Pack per-token observation id lists."""
-        if len(edge_ids) != len(obs_ids):
+        """Packed ids: flat ids plus per-token counts, for each kind."""
+        if len(edge_counts) != len(obs_counts):
             raise ValueError(
-                f"{len(edge_ids)} edge id lists for {len(obs_ids)} tokens"
+                f"{len(edge_counts)} edge counts for {len(obs_counts)} tokens"
             )
-        self.edge_ids = edge_ids
-        self._obs_counts = np.fromiter(
-            (len(ids) for ids in obs_ids), dtype=np.intp, count=len(obs_ids)
-        )
-        self._obs_flat = np.fromiter(
-            chain.from_iterable(obs_ids),
-            dtype=np.intp,
-            count=int(self._obs_counts.sum()),
-        )
-
-    @classmethod
-    def from_packed(
-        cls,
-        obs_flat: list[int] | np.ndarray,
-        obs_counts: list[int] | np.ndarray,
-        edge_ids: list[list[int]],
-    ) -> "EncodedSequence":
-        """Build from the packed form (flat ids + per-token counts)."""
-        seq = cls.__new__(cls)
-        seq.edge_ids = edge_ids
-        seq._obs_flat = np.asarray(obs_flat, dtype=np.intp)
-        seq._obs_counts = np.asarray(obs_counts, dtype=np.intp)
-        return seq
-
-    @property
-    def obs_ids(self) -> list[list[int]]:
-        """Per-token observation id lists."""
-        flat = self._obs_flat.tolist()
-        ids: list[list[int]] = []
-        position = 0
-        for count in self._obs_counts.tolist():
-            ids.append(flat[position:position + count])
-            position += count
-        return ids
-
-    def packed_obs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(obs_flat, obs_counts)`` intp arrays."""
-        return self._obs_flat, self._obs_counts
+        self.obs_flat = np.asarray(obs_flat, dtype=np.intp)
+        self.obs_counts = np.asarray(obs_counts, dtype=np.intp)
+        self.edge_flat = np.asarray(edge_flat, dtype=np.intp)
+        self.edge_counts = np.asarray(edge_counts, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self._obs_counts)
+        return len(self.obs_counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EncodedSequence):
             return NotImplemented
-        return (
-            self.obs_ids == other.obs_ids and self.edge_ids == other.edge_ids
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
         )
+
+
+def split_ids(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
+    """Packed ids as one list per token (what tests and fixtures read)."""
+    ids = flat.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [ids[end - n:end] for n, end in zip(counts.tolist(), ends)]
 
 
 class FeatureIndex:

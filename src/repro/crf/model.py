@@ -16,6 +16,11 @@ from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.crf.objective import ParamView
 from repro.crf.train import LBFGSTrainer, TrainLog, TrainerState
 
+#: Most sequences per inference batch: the padded tables of one batch
+#: grow with its rows, so the prediction methods decode length-sorted
+#: chunks of this size.
+CHUNK_SIZE = 256
+
 
 class ChainCRF:
     """A linear-chain conditional random field over string labels.
@@ -33,7 +38,7 @@ class ChainCRF:
     Examples
     --------
     >>> index = FeatureIndex(["a", "b"], obs_vocab={"x": 0, "y": 1})
-    >>> xy = EncodedSequence([[0], [1]], [[], []])
+    >>> xy = EncodedSequence([0, 1], [1, 1], [], [0, 0])  # x then y
     >>> crf = ChainCRF(["a", "b"], l2=0.1).fit(index, [xy, xy], [["a", "b"]] * 2)
     >>> crf.predict_many([xy])
     [['a', 'b']]
@@ -176,11 +181,12 @@ class ChainCRF:
             raise RuntimeError("model is not fitted")
         return self.index, ParamView.of(self.params, self.index)
 
-    def _decode_many(self, sequences, decode, empty, *, chunk_size: int):
+    def _decode_many(self, sequences, decode, empty):
         """The batched inference driver every prediction method runs on.
 
-        Non-empty sequences are sorted by length and padded into per-chunk :class:`EncodedBatch`
-        objects (bounding peak memory at roughly ``chunk_size * T_max *
+        Non-empty sequences are sorted by length and padded into
+        per-chunk :class:`EncodedBatch` objects of :data:`CHUNK_SIZE`
+        rows (bounding peak memory at roughly ``CHUNK_SIZE * T_max *
         S^2`` floats; length-sorting keeps each chunk's padding tight);
         ``decode(chunk, emit, trans)`` turns one chunk's
         potentials into per-record results, which are scattered back
@@ -193,8 +199,8 @@ class ChainCRF:
         if not keep:
             return out
         keep.sort(key=lambda i: len(encoded[i]))
-        for start in range(0, len(keep), chunk_size):
-            rows = keep[start:start + chunk_size]
+        for start in range(0, len(keep), CHUNK_SIZE):
+            rows = keep[start:start + CHUNK_SIZE]
             batch = EncodedBatch.from_encoded(
                 [encoded[i] for i in rows], index
             )
@@ -204,17 +210,14 @@ class ChainCRF:
         return out
 
     def predict_many(
-        self,
-        sequences: Sequence[EncodedSequence],
-        *,
-        chunk_size: int = 256,
+        self, sequences: Sequence[EncodedSequence]
     ) -> list[list[str]]:
         """Batched Viterbi decoding (eq. (5)) of many sequences at once.
 
         Empty sequences yield ``[]``.  The recursions run across all
-        sequences of a chunk in dense numpy ops -- the bulk path Section
-        6's survey-scale parse runs on, fed by the
-        :class:`~repro.parser.bulk.LineEncoder` cache.
+        sequences of a chunk (:data:`CHUNK_SIZE` rows) in dense numpy
+        ops -- the bulk path Section 6's survey-scale parse runs on, fed
+        by the :class:`~repro.parser.bulk.LineEncoder` cache.
         """
         index = self.index
 
@@ -224,19 +227,14 @@ class ChainCRF:
                 for row in batch_viterbi(chunk, emit, trans)
             ]
 
-        return self._decode_many(
-            sequences, decode, lambda _index: [], chunk_size=chunk_size
-        )
+        return self._decode_many(sequences, decode, lambda _index: [])
 
     def predict_with_marginals_many(
-        self,
-        sequences: Sequence[EncodedSequence],
-        *,
-        chunk_size: int = 256,
+        self, sequences: Sequence[EncodedSequence]
     ) -> list[tuple[list[str], np.ndarray]]:
         """Viterbi labels and per-token posteriors (one ``(T, n_states)``
         array each) for many sequences, both from one potentials pass
-        per chunk."""
+        per chunk of :data:`CHUNK_SIZE` rows."""
         index = self.index
 
         def decode(chunk, emit, trans):
@@ -251,7 +249,6 @@ class ChainCRF:
             sequences,
             decode,
             lambda index: ([], np.zeros((0, index.n_states))),
-            chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------

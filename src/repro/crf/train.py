@@ -48,6 +48,9 @@ from repro.crf.features import EncodedSequence, FeatureIndex
 #: scale with its rows, so a large fit is cut into batches of this size.
 BATCH_SIZE = 512
 
+#: L-BFGS-B's relative-reduction stop criterion (scipy's ``ftol``).
+TOLERANCE = 1e-6
+
 
 class _PhdrInfo(ctypes.Structure):
     """The leading fields of glibc's ``struct dl_phdr_info``."""
@@ -201,19 +204,17 @@ class TrainLog:
 
 
 class LBFGSTrainer:
-    """Batch maximum-likelihood training with L-BFGS, on one BLAS thread."""
+    """Batch maximum-likelihood training with L-BFGS, on one BLAS thread.
 
-    def __init__(
-        self,
-        *,
-        l2: float = 1.0,
-        max_iterations: int = 200,
-        tolerance: float = 1e-6,
-    ) -> None:
-        """L-BFGS trainer with ``l2`` regularization and stop criteria."""
+    A fit stops after ``max_iterations`` iterations or once an iteration
+    reduces the objective by less than :data:`TOLERANCE` relative to it.
+    """
+
+    def __init__(self, *, l2: float = 1.0, max_iterations: int = 200) -> None:
+        """L-BFGS trainer with ``l2`` regularization and an iteration
+        budget."""
         self.l2 = l2
         self.max_iterations = max_iterations
-        self.tolerance = tolerance
 
     def fit(
         self,
@@ -303,7 +304,7 @@ class LBFGSTrainer:
                 callback=callback,
                 options={
                     "maxiter": max(1, self.max_iterations - done),
-                    "ftol": self.tolerance,
+                    "ftol": TOLERANCE,
                 },
             )
         log.converged = bool(result.success)

@@ -152,7 +152,3 @@ class RegistrarServer(WhoisServer):
     def lookup(self, domain: str) -> str | None:
         """The thick record this registrar sponsors, or None."""
         return self._records.get(domain)
-
-    def add_record(self, domain: str, text: str) -> None:
-        """Install (or replace) the thick record for ``domain``."""
-        self._records[domain] = text

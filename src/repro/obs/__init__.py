@@ -22,7 +22,7 @@ object (e.g. the netsim ``SimClock``) to trace spans in virtual time.
 
 from repro.obs.export import to_json, to_prometheus, write_metrics
 from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
+    BOUNDS,
     Histogram,
     MetricsRegistry,
     active,
@@ -37,7 +37,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import NOOP_SPAN, Span, trace
 
 __all__ = [
-    "DEFAULT_BOUNDS",
+    "BOUNDS",
     "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",

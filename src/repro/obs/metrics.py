@@ -13,9 +13,9 @@ Design constraints (enforced here, relied on by every instrumented stage):
   (:func:`inc`, :func:`observe`, :func:`set_gauge`, ``trace``); when no
   registry is installed each is a single attribute load and an ``if``.
 - **Bounded cardinality.**  Each metric name holds at most
-  ``max_series`` distinct label sets; past the cap new label sets are
-  collapsed into one reserved overflow series so a hostile label value
-  (a crawl of a million registrar servers) cannot exhaust memory.
+  :data:`MAX_SERIES` distinct label sets; past the cap new label sets
+  are collapsed into one reserved overflow series so a hostile label
+  value (a crawl of a million registrar servers) cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -32,12 +32,18 @@ LabelSet = tuple[tuple[str, str], ...]
 #: reserved label set for series dropped by the cardinality cap
 OVERFLOW_LABELS: LabelSet = (("otel_overflow", "true"),)
 
-#: default histogram bucket upper bounds, in seconds -- spans from a
+#: histogram bucket upper bounds, in seconds -- spans from a
 #: sub-millisecond Viterbi chunk to a multi-minute rate-limit backoff.
-DEFAULT_BOUNDS: tuple[float, ...] = (
+BOUNDS: tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0,
 )
+
+#: observations each histogram keeps exactly, for exact quantiles
+SAMPLE_SIZE = 1024
+
+#: label sets each metric name holds before new ones overflow
+MAX_SERIES = 256
 
 
 def labelset(labels: dict[str, str]) -> LabelSet:
@@ -50,10 +56,11 @@ def labelset(labels: dict[str, str]) -> LabelSet:
 class Histogram:
     """One histogram series: fixed buckets plus an exact bounded sample.
 
-    Buckets give the Prometheus-compatible cumulative view; the sorted
-    sample (the first ``sample_size`` observations) gives exact quantiles
-    while it covers every observation, after which :meth:`quantile` falls
-    back to linear interpolation inside the matching bucket.
+    Buckets (upper bounds :data:`BOUNDS`) give the Prometheus-compatible
+    cumulative view; the sorted sample (the first :data:`SAMPLE_SIZE`
+    observations) gives exact quantiles while it covers every
+    observation, after which :meth:`quantile` falls back to linear
+    interpolation inside the matching bucket.
     """
 
     __slots__ = (
@@ -61,21 +68,17 @@ class Histogram:
         "min", "max", "_sample", "_sample_size",
     )
 
-    def __init__(
-        self,
-        bounds: tuple[float, ...] = DEFAULT_BOUNDS,
-        *,
-        sample_size: int = 1024,
-    ) -> None:
-        """Empty histogram over ``bounds``; exact up to ``sample_size``."""
-        self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf
+    def __init__(self) -> None:
+        """Empty histogram over :data:`BOUNDS`, exact up to
+        :data:`SAMPLE_SIZE` observations."""
+        self.bounds = BOUNDS
+        self.bucket_counts = [0] * (len(BOUNDS) + 1)  # last = +Inf
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
         self._sample: list[float] = []
-        self._sample_size = sample_size
+        self._sample_size = SAMPLE_SIZE
 
     def observe(self, value: float) -> None:
         """Record one value into the buckets (and the exact sample)."""
@@ -124,16 +127,14 @@ class Histogram:
     def state(self) -> tuple:
         """Plain, picklable copy of this series for :meth:`merge`."""
         return (
-            self.bounds, list(self.bucket_counts), self.count, self.total,
+            list(self.bucket_counts), self.count, self.total,
             self.min, self.max, list(self._sample),
         )
 
     def merge(self, state: tuple) -> None:
         """Fold another series' :meth:`state` in: buckets, counts and sums
         add, min/max combine, and its sample fills ours up to its size."""
-        bounds, bucket_counts, count, total, low, high, sample = state
-        if tuple(bounds) != tuple(self.bounds):
-            raise ValueError("cannot merge histograms with different buckets")
+        bucket_counts, count, total, low, high, sample = state
         self.bucket_counts = [
             mine + theirs
             for mine, theirs in zip(self.bucket_counts, bucket_counts)
@@ -175,22 +176,13 @@ class MetricsRegistry:
     ``clock`` (any object with a ``now() -> float`` method, e.g. the
     netsim :class:`~repro.netsim.clock.SimClock`) redirects ``trace``
     spans from the wall clock to virtual time; metrics values themselves
-    are clock-agnostic.
+    are clock-agnostic.  Each name holds at most :data:`MAX_SERIES`
+    label sets.
     """
 
-    def __init__(
-        self,
-        *,
-        clock=None,
-        max_series: int = 256,
-        sample_size: int = 1024,
-        bounds: tuple[float, ...] = DEFAULT_BOUNDS,
-    ) -> None:
-        """Empty registry; ``max_series`` caps label sets per name."""
+    def __init__(self, *, clock=None) -> None:
+        """Empty registry; ``clock`` times its spans."""
         self.clock = clock
-        self.max_series = max_series
-        self.sample_size = sample_size
-        self.bounds = bounds
         self._counters: dict[str, dict[LabelSet, float]] = {}
         self._gauges: dict[str, dict[LabelSet, float]] = {}
         self._histograms: dict[str, dict[LabelSet, Histogram]] = {}
@@ -203,7 +195,7 @@ class MetricsRegistry:
     def _series(self, table: dict, name: str, labels: LabelSet):
         """The per-labelset slot for ``name``, applying the cardinality cap."""
         by_labels = table.setdefault(name, {})
-        if labels not in by_labels and len(by_labels) >= self.max_series:
+        if labels not in by_labels and len(by_labels) >= MAX_SERIES:
             return by_labels, OVERFLOW_LABELS
         return by_labels, labels
 
@@ -227,9 +219,7 @@ class MetricsRegistry:
             )
             histogram = by_labels.get(key)
             if histogram is None:
-                histogram = by_labels[key] = Histogram(
-                    self.bounds, sample_size=self.sample_size
-                )
+                histogram = by_labels[key] = Histogram()
             histogram.observe(value)
 
     # ------------------------------------------------------------------
@@ -290,9 +280,7 @@ class MetricsRegistry:
                 by_labels, key = self._series(self._histograms, name, labels)
                 histogram = by_labels.get(key)
                 if histogram is None:
-                    histogram = by_labels[key] = Histogram(
-                        self.bounds, sample_size=self.sample_size
-                    )
+                    histogram = by_labels[key] = Histogram()
                 histogram.merge(state)
 
     def snapshot(self) -> dict:

@@ -35,8 +35,8 @@ def _run_chunk(payload: tuple) -> tuple[Any, "dict | None"]:
     """Worker body: ``work(shared, chunk)`` under a fresh registry when
     the caller records metrics; returns the result and the registry's
     :meth:`dump <repro.obs.MetricsRegistry.dump>` (or None)."""
-    work, chunk, settings = payload
-    registry = obs.MetricsRegistry(**settings) if settings is not None else None
+    work, chunk, record = payload
+    registry = obs.MetricsRegistry() if record else None
     with obs.use(registry):
         result = work(_SHARED, chunk)
     return result, registry.dump() if registry is not None else None
@@ -64,24 +64,18 @@ def map_chunks(
     parent's warm caches copy-on-write), else the platform default.
 
     When a registry is installed (:func:`repro.obs.active`), each chunk
-    records into a fresh :class:`~repro.obs.MetricsRegistry` with the
-    caller's ``max_series``, ``sample_size`` and ``bounds``, and its dump
-    is merged back: counters add and histograms combine, so they read as
-    they would had the work run in this process.  Gauges describe one
-    process and stay in the worker.
+    records into a fresh :class:`~repro.obs.MetricsRegistry` and its
+    dump is merged back: counters add and histograms combine, so they
+    read as they would had the work run in this process.  Gauges
+    describe one process and stay in the worker.
     """
     method = start_method
     if method is None:
         method = "fork" if "fork" in mp.get_all_start_methods() else None
     registry = obs.active()
-    settings = None if registry is None else {
-        "max_series": registry.max_series,
-        "sample_size": registry.sample_size,
-        "bounds": registry.bounds,
-    }
     bounds = [len(items) * i // n for i in range(n + 1)]
     payloads = [
-        (work, items[bounds[i]:bounds[i + 1]], settings)
+        (work, items[bounds[i]:bounds[i + 1]], registry is not None)
         for i in range(n)
     ]
     with mp.get_context(method).Pool(

@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 from repro.parser.statistical import WhoisParser
 from repro.whois.records import LabeledRecord, WhoisRecord
 
+#: A record whose every line is predicted at least this confidently is
+#: not worth labeling.
+MIN_CONFIDENCE_THRESHOLD = 0.995
+
 
 @dataclass(frozen=True)
 class UncertainRecord:
@@ -57,20 +61,18 @@ def select_for_labeling(
     parser: WhoisParser,
     records: Sequence[WhoisRecord | LabeledRecord | str],
     k: int,
-    *,
-    min_confidence_threshold: float = 0.995,
 ) -> list[int]:
     """Indices of the ``k`` records most worth labeling next.
 
-    Records whose every line is already predicted above
-    ``min_confidence_threshold`` are skipped entirely -- labeling them
-    teaches the model nothing.
+    Records whose every line is already predicted at or above
+    :data:`MIN_CONFIDENCE_THRESHOLD` are skipped entirely -- labeling
+    them teaches the model nothing.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     ranked = rank_by_uncertainty(parser, records)
     chosen = [
-        r.index for r in ranked if r.min_confidence < min_confidence_threshold
+        r.index for r in ranked if r.min_confidence < MIN_CONFIDENCE_THRESHOLD
     ]
     return chosen[:k]
 

@@ -39,6 +39,9 @@ from repro.crf.features import EncodedSequence, FeatureIndex
 from repro.whois.features import WhoisFeaturizer
 from repro.whois.records import is_labelable
 
+#: Most entries each :class:`LineEncoder` cache holds.
+CACHE_SIZE = 200_000
+
 
 class LineEncoder:
     """Memoizing ``line text -> encoded attribute ids`` for one index.
@@ -57,9 +60,9 @@ class LineEncoder:
 
     **Cap behavior**: every cache (encoded line profiles, raw analyses,
     header contexts and the char-context memos) is capped at
-    ``cache_size`` distinct entries.  Once the cap is reached, *lookups*
-    still hit but new entries stop being inserted -- they are resolved
-    again on every occurrence.  WHOIS
+    :data:`CACHE_SIZE` distinct entries.  Once the cap is reached,
+    *lookups* still hit but new entries stop being inserted -- they are
+    resolved again on every occurrence.  WHOIS
     vocabulary is heavy-headed enough that the hot lines enter early, so
     a full cache usually still hits >90%; each skipped insertion is
     counted (:attr:`cache_full_skips`) and surfaced by the bulk parser
@@ -72,13 +75,12 @@ class LineEncoder:
         featurizer: WhoisFeaturizer,
         index: FeatureIndex,
         *,
-        cache_size: int = 200_000,
         profiles: dict | None = None,
     ) -> None:
         """Empty caches for ``index``; ``profiles`` may be shared."""
         self.featurizer = featurizer
         self.index = index
-        self.cache_size = cache_size
+        self.cache_size = CACHE_SIZE
         #: raw line -> (obs attrs, edge attrs, indent, headword), shareable
         #: between the block- and registrant-level encoders: the attribute
         #: strings are index-independent, so passing one dict to both
@@ -99,7 +101,7 @@ class LineEncoder:
         self.hits = 0
         self.misses = 0
         #: line-profile and header-context insertions skipped because the
-        #: cache was at ``cache_size``
+        #: cache was full
         self.cache_full_skips = 0
         #: entries loaded via :meth:`load_cache_state` (warm starts)
         self.warm_entries = 0
@@ -215,7 +217,8 @@ class LineEncoder:
         """
         obs_flat: list[int] = []
         obs_counts: list[int] = []
-        edge_seq: list[list[int]] = []
+        edge_flat: list[int] = []
+        edge_counts: list[int] = []
         obs_vocab = self.index.obs_vocab
         edge_vocab = self.index.edge_vocab
         obs_memo = self._ctx_obs_ids
@@ -233,7 +236,7 @@ class LineEncoder:
                 profile = self._line_profile(ch)
             else:
                 self.hits += 1
-            start = len(obs_flat)
+            start, edge_start = len(obs_flat), len(edge_flat)
             obs_flat.extend(profile[0])
             for attr in ctx_obs:
                 ident = obs_memo.get(attr, _missing)
@@ -243,7 +246,7 @@ class LineEncoder:
                         obs_memo[attr] = ident
                 if ident is not None:
                     obs_flat.append(ident)
-            edge = list(profile[1])
+            edge_flat.extend(profile[1])
             for attr in ctx_edge:
                 ident = edge_memo.get(attr, _missing)
                 if ident is _missing:
@@ -251,10 +254,10 @@ class LineEncoder:
                     if len(edge_memo) < cache_size:
                         edge_memo[attr] = ident
                 if ident is not None:
-                    edge.append(ident)
+                    edge_flat.append(ident)
             obs_counts.append(len(obs_flat) - start)
-            edge_seq.append(edge)
-        return EncodedSequence.from_packed(obs_flat, obs_counts, edge_seq)
+            edge_counts.append(len(edge_flat) - edge_start)
+        return EncodedSequence(obs_flat, obs_counts, edge_flat, edge_counts)
 
     # ------------------------------------------------------------------
 
@@ -284,18 +287,19 @@ class LineEncoder:
         the caller needs them anyway and this spares a second
         labelability scan over the record.
 
-        Observation ids are accumulated directly into the packed form
-        :class:`~repro.crf.features.EncodedSequence` shares with
-        :class:`~repro.crf.batch.EncodedBatch` (one flat id list plus
-        per-token counts), so batches built from these sequences never
-        run a per-token loop.
+        Observation and edge ids are each accumulated directly into the
+        packed form :class:`~repro.crf.features.EncodedSequence` shares
+        with :class:`~repro.crf.batch.EncodedBatch` (one flat id list
+        plus per-token counts), so batches built from these sequences
+        never run a per-token loop.
         """
         if self._char:
             return self._encode_chars(raw_lines, collect)
         cfg = self.featurizer.config
         obs_flat: list[int] = []
         obs_counts: list[int] = []
-        edge_seq: list[list[int]] = []
+        edge_flat: list[int] = []
+        edge_counts: list[int] = []
         blank_run = 0
         prev_indent: int | None = None
         header: tuple[str, int] | None = None
@@ -314,15 +318,15 @@ class LineEncoder:
             else:
                 self.hits += 1
             intrinsic_obs, intrinsic_edge, indent, headword = profile
-            start = len(obs_flat)
+            start, edge_start = len(obs_flat), len(edge_flat)
             obs_flat.extend(intrinsic_obs)
-            edge = list(intrinsic_edge)
+            edge_flat.extend(intrinsic_edge)
             if cfg.markers:
                 if blank_run > 0:
                     if self._nl[0] is not None:
                         obs_flat.append(self._nl[0])
                     if cfg.edge_markers and self._nl[1] is not None:
-                        edge.append(self._nl[1])
+                        edge_flat.append(self._nl[1])
                 if prev_indent is not None:
                     shift = (
                         self._shl if indent < prev_indent
@@ -333,7 +337,7 @@ class LineEncoder:
                         if shift[0] is not None:
                             obs_flat.append(shift[0])
                         if cfg.edge_markers and shift[1] is not None:
-                            edge.append(shift[1])
+                            edge_flat.append(shift[1])
                 prev_indent = indent
             if cfg.header_context:
                 if header is not None and indent > header[1]:
@@ -344,8 +348,8 @@ class LineEncoder:
                     header = (headword, indent)
             blank_run = 0
             obs_counts.append(len(obs_flat) - start)
-            edge_seq.append(edge)
-        return EncodedSequence.from_packed(obs_flat, obs_counts, edge_seq)
+            edge_counts.append(len(edge_flat) - edge_start)
+        return EncodedSequence(obs_flat, obs_counts, edge_flat, edge_counts)
 
     # ------------------------------------------------------------------
     # Persistence (warm starts)
@@ -426,8 +430,8 @@ class LineEncoder:
         """Warm the caches from a :meth:`read_cache_arrays` state.
 
         Entries already cached are kept, and each cache takes entries
-        only up to ``cache_size``.  Returns the number of line profiles
-        loaded (also tracked as :attr:`warm_entries`).
+        only up to :data:`CACHE_SIZE`.  Returns the number of line
+        profiles loaded (also tracked as :attr:`warm_entries`).
         """
         lines, ctx = state
         loaded = _fill(self._lines, lines, self.cache_size)
@@ -475,17 +479,18 @@ def fit_encoder(
         profiles=profiles,
     )
     obs_ids: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
-    edge_ids: list[int] = []
+    edge_ids: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
     for record in units:
         encoded = first.encode_record(record)
-        obs_ids.append(encoded.packed_obs()[0])
-        edge_ids.extend(chain.from_iterable(encoded.edge_ids[1:]))
+        obs_ids.append(encoded.obs_flat)
+        if len(encoded):
+            edge_ids.append(encoded.edge_flat[encoded.edge_counts[0]:])
     old = FeatureIndex(labels) if base is None else base
     threshold = 1 if base is not None else max(min_count, 1)
     vocabs = []
     for seen, ids, kept in (
         (first.index.obs_vocab, np.concatenate(obs_ids), old.obs_vocab),
-        (first.index.edge_vocab, np.array(edge_ids, np.intp), old.edge_vocab),
+        (first.index.edge_vocab, np.concatenate(edge_ids), old.edge_vocab),
     ):
         # The open vocabulary's keys are in id order.
         counts = np.bincount(ids, minlength=len(seen)).tolist()

@@ -46,6 +46,27 @@ __all__ = [
     "shape_fingerprint",
 ]
 
+#: A candidate whose fingerprint has Jaccard similarity at least this to
+#: a known format is a hard record of that format, not a new family.
+KNOWN_THRESHOLD = 0.6
+
+#: A candidate joins the most similar open cluster at least this
+#: similar; otherwise it founds a new cluster.
+MERGE_THRESHOLD = 0.4
+
+#: Most clusters a :class:`DriftDetector` keeps open; past it the
+#: longest-idle one is evicted.
+MAX_OPEN_CLUSTERS = 64
+
+#: Records seen without gaining a member before a cluster is evicted.
+CLUSTER_TTL = 20_000
+
+#: Most resolved-family signatures kept for straggler attribution.
+MAX_RESOLVED = 512
+
+#: Most disagreeing records a registrar's disagreement alert carries.
+MAX_EXEMPLARS = 8
+
 
 def format_fingerprint(text: str) -> frozenset[str]:
     """The record's format signature: its normalized field titles.
@@ -185,25 +206,6 @@ class DriftDetector:
         Members a cluster needs before it raises a :class:`DriftAlert`.
         One garbled record is noise; several sharing a fingerprint are a
         format.
-    known_threshold:
-        A candidate whose fingerprint has Jaccard similarity >= this to
-        any known format is attributed to that format (a hard record,
-        not a new family) and not clustered.
-    merge_threshold:
-        Candidates join the best existing cluster with similarity >=
-        this; otherwise they found a new cluster.
-    max_open_clusters:
-        Hard cap on simultaneously open clusters.  Beyond it the
-        longest-idle cluster is evicted -- a detector watching a 102M
-        record stream must hold bounded state no matter how much noise
-        the tail of the zone throws at it.
-    cluster_ttl:
-        Records-seen ticks a cluster may sit without gaining a member
-        before it is evicted (``None`` disables the TTL).  One-off
-        garbage fingerprints stop accumulating forever.
-    max_resolved:
-        Most-recent resolved-family signatures retained for straggler
-        attribution; older ones age out first.
     fingerprint:
         ``text -> frozenset`` reduction used for every record; defaults
         to :func:`format_fingerprint` (field titles).  Char-granularity
@@ -211,6 +213,15 @@ class DriftDetector:
         hook via :meth:`DomainSpec.fingerprint_text
         <repro.domain.DomainSpec.fingerprint_text>`), since single-line
         records have no field titles to fingerprint on.
+
+    Clustering reads the module's constants: :data:`KNOWN_THRESHOLD`
+    and :data:`MERGE_THRESHOLD` for similarity, and three bounds on its
+    state, which a detector watching a 102M-record stream must keep
+    whatever noise the tail of the zone throws at it:
+    :data:`MAX_OPEN_CLUSTERS` open clusters (the longest-idle one is
+    evicted), :data:`CLUSTER_TTL` records without a new member (one-off
+    garbage fingerprints do not accumulate) and :data:`MAX_RESOLVED`
+    resolved signatures (the oldest age out first).
     """
 
     def __init__(
@@ -218,11 +229,6 @@ class DriftDetector:
         *,
         min_confidence: float = 0.90,
         min_cluster_size: int = 3,
-        known_threshold: float = 0.6,
-        merge_threshold: float = 0.4,
-        max_open_clusters: int = 64,
-        cluster_ttl: "int | None" = 20_000,
-        max_resolved: int = 512,
         fingerprint=format_fingerprint,
     ) -> None:
         """Detector with clustering thresholds and a fingerprint hook.
@@ -236,11 +242,6 @@ class DriftDetector:
         self.fingerprint = fingerprint
         self.min_confidence = min_confidence
         self.min_cluster_size = min_cluster_size
-        self.known_threshold = known_threshold
-        self.merge_threshold = merge_threshold
-        self.max_open_clusters = max(1, max_open_clusters)
-        self.cluster_ttl = cluster_ttl
-        self.max_resolved = max(0, max_resolved)
         self._known: list[frozenset[str]] = []
         self._resolved: list[frozenset[str]] = []
         self.clusters: list[DriftCluster] = []
@@ -267,7 +268,7 @@ class DriftDetector:
 
     def _learn(self, fingerprint: frozenset[str]) -> None:
         if fingerprint and not any(
-            jaccard(fingerprint, known) >= self.known_threshold
+            jaccard(fingerprint, known) >= KNOWN_THRESHOLD
             for known in self._known
         ):
             self._known.append(fingerprint)
@@ -279,10 +280,10 @@ class DriftDetector:
         # be attributed to the (now retrained) family, not start a new
         # one.
         return any(
-            jaccard(fingerprint, known) >= self.known_threshold
+            jaccard(fingerprint, known) >= KNOWN_THRESHOLD
             for known in self._known
         ) or any(
-            jaccard(fingerprint, signature) >= self.merge_threshold
+            jaccard(fingerprint, signature) >= MERGE_THRESHOLD
             for signature in self._resolved
         )
 
@@ -348,16 +349,15 @@ class DriftDetector:
         that never matures.  Eviction forgets candidates, never formats:
         a real emerging family re-clusters from its next records.
         """
-        if self.cluster_ttl is not None:
-            stale = [
-                cluster for cluster in self.clusters
-                if self.records_seen - cluster.last_seen > self.cluster_ttl
-            ]
-            for cluster in stale:
-                self.clusters.remove(cluster)
-                self.evicted_clusters += 1
-                obs.inc("pipeline.drift.evicted_clusters", reason="ttl")
-        while len(self.clusters) > self.max_open_clusters:
+        stale = [
+            cluster for cluster in self.clusters
+            if self.records_seen - cluster.last_seen > CLUSTER_TTL
+        ]
+        for cluster in stale:
+            self.clusters.remove(cluster)
+            self.evicted_clusters += 1
+            obs.inc("pipeline.drift.evicted_clusters", reason="ttl")
+        while len(self.clusters) > MAX_OPEN_CLUSTERS:
             idlest = min(self.clusters, key=lambda cluster: cluster.last_seen)
             self.clusters.remove(idlest)
             self.evicted_clusters += 1
@@ -370,7 +370,7 @@ class DriftDetector:
             similarity = jaccard(record.fingerprint, cluster.signature)
             if similarity > best_similarity:
                 best, best_similarity = cluster, similarity
-        if best is not None and best_similarity >= self.merge_threshold:
+        if best is not None and best_similarity >= MERGE_THRESHOLD:
             best.add(record)
             return best
         cluster = DriftCluster(
@@ -401,8 +401,8 @@ class DriftDetector:
                 for member in cluster.members:
                     self._resolved.append(member.fingerprint)
                 self.clusters.remove(cluster)
-        if len(self._resolved) > self.max_resolved:
-            dropped = len(self._resolved) - self.max_resolved
+        if len(self._resolved) > MAX_RESOLVED:
+            dropped = len(self._resolved) - MAX_RESOLVED
             del self._resolved[:dropped]
             obs.inc("pipeline.drift.evicted_resolved", dropped)
 
@@ -435,8 +435,9 @@ class RegistrarDisagreementSignal:
     verdicts alongside the raw WHOIS texts; once a registrar's
     disagreement rate over definite verdicts reaches ``rate_threshold``
     with at least ``min_audits`` audits, it raises one standard
-    :class:`DriftAlert` whose members are the disagreeing domains'
-    records -- directly consumable by
+    :class:`DriftAlert` whose members are the first
+    :data:`MAX_EXEMPLARS` disagreeing domains' records -- directly
+    consumable by
     :meth:`~repro.pipeline.loop.MaintenanceLoop.ingest_alert`, entering
     the same label -> retrain -> hot-swap iteration as a confidence
     alert.
@@ -447,12 +448,10 @@ class RegistrarDisagreementSignal:
         *,
         rate_threshold: float = 0.5,
         min_audits: int = 10,
-        max_exemplars: int = 8,
     ) -> None:
         """Signal with per-registrar disagreement-rate thresholds."""
         self.rate_threshold = rate_threshold
         self.min_audits = max(1, min_audits)
-        self.max_exemplars = max(1, max_exemplars)
         self._tallies: "dict[str | None, _RegistrarTally]" = {}
 
     def observe(self, audit, text: str) -> "DriftAlert | None":
@@ -468,7 +467,7 @@ class RegistrarDisagreementSignal:
         tally.audited += 1
         if audit.verdict == "disagree":
             tally.disagreeing += 1
-            if len(tally.exemplars) < self.max_exemplars:
+            if len(tally.exemplars) < MAX_EXEMPLARS:
                 tally.exemplars.append(StreamRecord(
                     domain=audit.domain,
                     text=text,

@@ -31,6 +31,12 @@ from repro.netsim.ratelimit import RateLimiter
 
 __all__ = ["AdmissionController", "WallClock"]
 
+#: Seconds over which a client's ``rate_limit`` admissions are counted.
+RATE_WINDOW = 1.0
+
+#: Seconds a client that tripped its limit is locked out.
+RATE_PENALTY = 1.0
+
 
 class WallClock:
     """Monotonic wall time behind the ``now()`` protocol SimClock set.
@@ -52,10 +58,10 @@ class AdmissionController:
     ----------
     queue_depth:
         Maximum admitted-but-unfinished requests across the process.
-    rate_limit / rate_window / rate_penalty:
+    rate_limit:
         Per-client budget: at most ``rate_limit`` admissions per
-        ``rate_window`` seconds, with a ``rate_penalty``-second lockout
-        once tripped (``None`` disables per-client limiting).
+        :data:`RATE_WINDOW` seconds, with a :data:`RATE_PENALTY`-second
+        lockout once tripped (``None`` disables per-client limiting).
     clock:
         Any ``now() -> float`` object; defaults to the wall clock.
         Tests pass a :class:`~repro.netsim.clock.SimClock` to step
@@ -67,8 +73,6 @@ class AdmissionController:
         *,
         queue_depth: int = 256,
         rate_limit: int | None = None,
-        rate_window: float = 1.0,
-        rate_penalty: float = 1.0,
         clock=None,
     ) -> None:
         """See the class docstring for the parameter semantics."""
@@ -79,8 +83,8 @@ class AdmissionController:
             RateLimiter(
                 clock or WallClock(),
                 limit=rate_limit,
-                window=rate_window,
-                penalty=rate_penalty,
+                window=RATE_WINDOW,
+                penalty=RATE_PENALTY,
             )
             if rate_limit is not None
             else None

@@ -43,18 +43,24 @@ __all__ = ["ServeApp", "ServeConfig", "render_parsed_whois"]
 
 FetchFn = Callable[[str], "str | None"]
 
+#: Validated RDAP responses the app's gateway keeps (LRU).
+RDAP_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tuning knobs, mirroring the ``repro serve`` CLI flags."""
+    """Tuning knobs, mirroring the ``repro serve`` CLI flags.
+
+    The gateway's cache holds :data:`RDAP_CACHE_SIZE` responses; the
+    rate limit's window and penalty are
+    :data:`~repro.serve.admission.RATE_WINDOW` and
+    :data:`~repro.serve.admission.RATE_PENALTY`.
+    """
 
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     queue_depth: int = 256
     rate_limit: "int | None" = None
-    rate_window: float = 1.0
-    rate_penalty: float = 1.0
-    rdap_cache_size: int = 1024
 
 
 class _RegistryParser(ParserBase):
@@ -142,13 +148,11 @@ class ServeApp:
         self.gateway = RdapGateway(
             _RegistryParser(models),
             self._fetch,
-            cache_size=self.config.rdap_cache_size,
+            cache_size=RDAP_CACHE_SIZE,
         )
         self.admission = AdmissionController(
             queue_depth=self.config.queue_depth,
             rate_limit=self.config.rate_limit,
-            rate_window=self.config.rate_window,
-            rate_penalty=self.config.rate_penalty,
         )
         self.parse_batcher = MicroBatcher(
             _weakly(self._parse_batch),

@@ -101,13 +101,13 @@ def jobs_from_results(
 
 
 def _ingest_shard(
-    parser, jobs: list[IngestJob], *, shard_dir: str, batch_size: int, gate
+    parser, jobs: list[IngestJob], *, shard_dir: str, gate
 ) -> str:
     """Worker body: the inline ingest of one chunk into a new sqlite
     shard under ``shard_dir``; returns the shard's path."""
     handle, shard_path = tempfile.mkstemp(suffix=".db", dir=shard_dir)
     os.close(handle)
-    db = SurveyDatabase(SqliteStore(shard_path, batch_size=batch_size))
+    db = SurveyDatabase(SqliteStore(shard_path))
     try:
         _ingest_inline(jobs, parser, db, gate=gate, stats=None)
     finally:
@@ -133,7 +133,6 @@ def sharded_ingest(
     gate: "RecordGate | None" = None,
     stats: "CrawlStats | None" = None,
     start_method: str | None = None,
-    batch_size: int = 2000,
 ) -> SurveyDatabase:
     """Ingest ``jobs`` into ``store`` across ``shards`` worker processes.
 
@@ -159,10 +158,7 @@ def sharded_ingest(
         ) as shard_dir,
     ):
         shard_paths = map_chunks(
-            partial(
-                _ingest_shard,
-                shard_dir=shard_dir, batch_size=batch_size, gate=gate,
-            ),
+            partial(_ingest_shard, shard_dir=shard_dir, gate=gate),
             parser,
             jobs,
             shards,

@@ -403,6 +403,10 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 """
 
+#: Rows a :class:`SqliteStore` buffers per table before it commits them
+#: in one transaction.
+BATCH_SIZE = 2000
+
 #: Bump when the table shapes change; refuses to open mismatched replicas.
 #: v2 added the ``audits`` table (cross-protocol consistency verdicts).
 SCHEMA_VERSION = "2"
@@ -417,7 +421,7 @@ class SqliteStore:
     """The durable backend: a sqlite replica of the survey.
 
     Ingest is batched and transactional -- appends buffer in memory and
-    commit ``batch_size`` rows per transaction, so a crash mid-ingest
+    commit :data:`BATCH_SIZE` rows per transaction, so a crash mid-ingest
     loses at most the uncommitted batch and never exposes a partial one
     (WAL recovery rolls the journal back to the last commit).  Reads
     flush the buffer first, so a single-process caller always sees its
@@ -437,12 +441,10 @@ class SqliteStore:
         self,
         path: str | Path,
         *,
-        batch_size: int = 2000,
         fresh: bool = False,
         read_only: bool = False,
     ) -> None:
         self.path = str(path)
-        self.batch_size = max(1, batch_size)
         if fresh and self.path != ":memory:":
             for suffix in ("", "-wal", "-shm"):
                 Path(self.path + suffix).unlink(missing_ok=True)
@@ -551,7 +553,7 @@ class SqliteStore:
     def append(self, entry, *, record: dict | None = None) -> None:
         """Buffer one entry; commits whenever a full batch accumulates."""
         self._pending.append(self._entry_row(entry, record))
-        if len(self._pending) >= self.batch_size:
+        if len(self._pending) >= BATCH_SIZE:
             self.flush()
 
     def append_quarantined(self, record: QuarantinedRecord) -> None:
@@ -563,13 +565,13 @@ class SqliteStore:
             record.reason,
             json.dumps(record.error.to_payload()),
         ))
-        if len(self._pending_quarantine) >= self.batch_size:
+        if len(self._pending_quarantine) >= BATCH_SIZE:
             self.flush()
 
     def append_audit(self, audit) -> None:
         """Buffer one consistency audit verdict; commits per batch."""
         self._pending_audits.append(self._audit_row(audit))
-        if len(self._pending_audits) >= self.batch_size:
+        if len(self._pending_audits) >= BATCH_SIZE:
             self.flush()
 
     def flush(self) -> None:
@@ -805,7 +807,6 @@ def open_store(
     path: str | Path | None = None,
     *,
     fresh: bool = False,
-    batch_size: int = 2000,
 ) -> SurveyStore:
     """Build a backend by name: ``memory``, or ``sqlite`` (needs ``path``).
 
@@ -817,7 +818,7 @@ def open_store(
     if backend == "sqlite":
         if path is None:
             raise ValueError("sqlite store needs a database path (--db)")
-        return SqliteStore(path, fresh=fresh, batch_size=batch_size)
+        return SqliteStore(path, fresh=fresh)
     raise ValueError(f"unknown survey store backend {backend!r}")
 
 

@@ -11,7 +11,6 @@ used by the featurizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 def is_labelable(line: str) -> bool:
@@ -112,10 +111,6 @@ class LabeledRecord:
                     f"{self.domain}: labeled unit {labeled.text!r} does not "
                     f"match raw unit {raw!r}"
                 )
-
-    def iter_labelable_raw(self) -> Iterator[str]:
-        """The raw units that carry labels, in order."""
-        return iter(labelable_units(self.raw_lines, self.granularity))
 
     @property
     def text(self) -> str:

@@ -8,9 +8,9 @@ readably without going through text.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count
 
-from repro.crf.features import EncodedSequence, FeatureIndex
+from repro.crf.features import EncodedSequence, FeatureIndex, split_ids
 
 
 def encode(index, obs, edge=None):
@@ -21,9 +21,32 @@ def encode(index, obs, edge=None):
     """
     if edge is None:
         edge = [[] for _ in obs]
+    obs_ids = [
+        [index.obs_vocab[a] for a in names if a in index.obs_vocab]
+        for names in obs
+    ]
+    edge_ids = [
+        [index.edge_vocab[a] for a in names if a in index.edge_vocab]
+        for names in edge
+    ]
+    return pack(obs_ids, edge_ids)
+
+
+def pack(obs_ids, edge_ids):
+    """An :class:`EncodedSequence` from per-token id lists."""
     return EncodedSequence(
-        [[index.obs_vocab[a] for a in names if a in index.obs_vocab] for names in obs],
-        [[index.edge_vocab[a] for a in names if a in index.edge_vocab] for names in edge],
+        list(chain.from_iterable(obs_ids)),
+        [len(ids) for ids in obs_ids],
+        list(chain.from_iterable(edge_ids)),
+        [len(ids) for ids in edge_ids],
+    )
+
+
+def unpack(encoded):
+    """``(obs, edge)`` per-token id lists of an encoded sequence."""
+    return (
+        split_ids(encoded.obs_flat, encoded.obs_counts),
+        split_ids(encoded.edge_flat, encoded.edge_counts),
     )
 
 
@@ -50,7 +73,8 @@ def names(index, encoded):
     in id order within each token."""
     obs_names = index.obs_attribute_names()
     edge_names = index.edge_attribute_names()
+    obs, edge = unpack(encoded)
     return (
-        [[obs_names[i] for i in sorted(ids)] for ids in encoded.obs_ids],
-        [[edge_names[i] for i in sorted(ids)] for ids in encoded.edge_ids],
+        [[obs_names[i] for i in sorted(ids)] for ids in obs],
+        [[edge_names[i] for i in sorted(ids)] for ids in edge],
     )

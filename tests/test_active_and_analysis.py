@@ -5,6 +5,7 @@ import pytest
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.eval.metrics import evaluate_parser
 from repro.parser import WhoisParser
+from repro.parser import active
 from repro.parser.active import (
     active_learning_round,
     rank_by_uncertainty,
@@ -54,16 +55,15 @@ def test_uncertain_records_are_actually_harder(setup):
     assert uncertain_errors >= confident_errors
 
 
-def test_select_for_labeling_respects_k_and_threshold(setup):
+def test_select_for_labeling_respects_k_and_threshold(setup, monkeypatch):
     _, _, pool, _, parser = setup
     chosen = select_for_labeling(parser, pool, 5)
     assert len(chosen) <= 5
     assert len(set(chosen)) == len(chosen)
     with pytest.raises(ValueError):
         select_for_labeling(parser, pool, -1)
-    none_needed = select_for_labeling(parser, pool, 5,
-                                      min_confidence_threshold=0.0)
-    assert none_needed == []
+    monkeypatch.setattr(active, "MIN_CONFIDENCE_THRESHOLD", 0.0)
+    assert select_for_labeling(parser, pool, 5) == []
 
 
 def test_active_learning_beats_random_at_equal_budget(setup):

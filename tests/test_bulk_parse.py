@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.crf.features import EncodedSequence
+from repro.crf import model as crf_model
 from repro.datagen import CorpusGenerator
 from repro.datagen.corpus import CorpusConfig
 from repro.parser import WhoisParser
@@ -45,32 +45,24 @@ def _encoded(parser, texts):
     return [encoder.encode_record(lines) for lines in texts]
 
 
-def test_predict_many_matches_predict(world):
+def test_predict_many_matches_predict(world, monkeypatch):
     parser, _train, test = world
     crf = parser.block_crf
     sequences = _encoded(parser, [r.lines for r in test[:60]])
     loop = [crf.predict_many([s])[0] for s in sequences]
     assert crf.predict_many(sequences) == loop
     # Small chunks force multi-chunk batching with length-sorted rows.
-    assert crf.predict_many(sequences, chunk_size=7) == loop
+    monkeypatch.setattr(crf_model, "CHUNK_SIZE", 7)
+    assert crf.predict_many(sequences) == loop
 
 
-def test_predict_many_accepts_encoded_sequences(world):
-    # Sequences built from per-token id lists decode as the encoder's
-    # packed ones do.
-    parser, _train, test = world
-    crf = parser.block_crf
-    packed = _encoded(parser, [r.lines for r in test[:30]])
-    unpacked = [EncodedSequence(s.obs_ids, s.edge_ids) for s in packed]
-    assert crf.predict_many(unpacked) == crf.predict_many(packed)
-
-
-def test_predict_marginals_many_matches_per_sequence(world):
+def test_predict_marginals_many_matches_per_sequence(world, monkeypatch):
     parser, _train, test = world
     crf = parser.block_crf
     sequences = _encoded(parser, [r.lines for r in test[:30]])
     # Small chunks force multi-chunk batching with length-sorted rows.
-    many = crf.predict_with_marginals_many(sequences, chunk_size=11)
+    monkeypatch.setattr(crf_model, "CHUNK_SIZE", 11)
+    many = crf.predict_with_marginals_many(sequences)
     assert [labels for labels, _ in many] == crf.predict_many(sequences)
     for seq, (labels, batched) in zip(sequences, many):
         ((single_labels, single),) = crf.predict_with_marginals_many([seq])

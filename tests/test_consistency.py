@@ -28,6 +28,7 @@ from repro.consistency.diff import FieldDiff
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.netsim.rdap import DisagreementKnob, DisagreementPlan, RdapFace
 from repro.parser.fields import ParsedRecord, assemble_record, parse_whois_date
+from repro.pipeline import drift
 from repro.pipeline.drift import DriftDetector, RegistrarDisagreementSignal
 from repro.rdap.convert import rdap_from_json, registration_to_rdap
 from repro.rdap.schema import RdapDomain, RdapEntity
@@ -489,10 +490,9 @@ def _audit(domain, registrar, verdict, fields=()):
     )
 
 
-def test_signal_alerts_on_systematic_disagreement():
-    signal = RegistrarDisagreementSignal(
-        rate_threshold=0.5, min_audits=4, max_exemplars=3
-    )
+def test_signal_alerts_on_systematic_disagreement(monkeypatch):
+    monkeypatch.setattr(drift, "MAX_EXEMPLARS", 3)
+    signal = RegistrarDisagreementSignal(rate_threshold=0.5, min_audits=4)
     alerts = []
     for i in range(6):
         alert = signal.observe(
@@ -564,10 +564,10 @@ def _low(detector, domain, titles):
     return detector.observe(domain, text, [(text, "domain", 0.1)])
 
 
-def test_detector_evicts_idle_clusters_by_ttl():
-    detector = DriftDetector(
-        min_cluster_size=10, cluster_ttl=5, merge_threshold=0.9
-    )
+def test_detector_evicts_idle_clusters_by_ttl(monkeypatch):
+    monkeypatch.setattr(drift, "CLUSTER_TTL", 5)
+    monkeypatch.setattr(drift, "MERGE_THRESHOLD", 0.9)
+    detector = DriftDetector(min_cluster_size=10)
     _low(detector, "a.com", ["alpha one", "alpha two"])
     assert len(detector.clusters) == 1
     # Confident traffic advances the tick without touching the cluster.
@@ -580,11 +580,11 @@ def test_detector_evicts_idle_clusters_by_ttl():
     assert [c.members[0].domain for c in detector.clusters] == ["b.com"]
 
 
-def test_detector_caps_open_clusters():
-    detector = DriftDetector(
-        min_cluster_size=10, max_open_clusters=2, cluster_ttl=None,
-        merge_threshold=0.9,
-    )
+def test_detector_caps_open_clusters(monkeypatch):
+    # Five records stay far inside the cluster TTL.
+    monkeypatch.setattr(drift, "MAX_OPEN_CLUSTERS", 2)
+    monkeypatch.setattr(drift, "MERGE_THRESHOLD", 0.9)
+    detector = DriftDetector(min_cluster_size=10)
     for i in range(5):
         _low(detector, f"c{i}.com", [f"unique {i} x", f"unique {i} y"])
     assert len(detector.clusters) == 2
@@ -594,10 +594,10 @@ def test_detector_caps_open_clusters():
     assert survivors == {"c3.com", "c4.com"}
 
 
-def test_detector_trims_resolved_signatures():
-    detector = DriftDetector(
-        min_cluster_size=1, max_resolved=2, merge_threshold=0.9
-    )
+def test_detector_trims_resolved_signatures(monkeypatch):
+    monkeypatch.setattr(drift, "MAX_RESOLVED", 2)
+    monkeypatch.setattr(drift, "MERGE_THRESHOLD", 0.9)
+    detector = DriftDetector(min_cluster_size=1)
     families = []
     for i in range(4):
         alert = _low(detector, f"r{i}.com", [f"res {i} a", f"res {i} b"])

@@ -11,7 +11,11 @@ same ``(slot, attribute)`` occurrences in the same order.  On one batch
 the two must agree bit for bit, since both add each sum's terms in
 occurrence order.
 
-The recursions are checked against a third reference, the per-step
+The edge matrix is checked against the per-token loop that built it
+while edge ids were per-token lists: indptr, indices and data must be
+equal, with first-token ids left out and each token's id order kept.
+
+The recursions are checked against a fourth reference, the per-step
 formulation they replaced: each step broadcasts the previous row into a
 ``(R, S, S)`` table and reduces it with keepdims log-sum-exp, Viterbi
 reads its best value back with ``np.take_along_axis``, and the
@@ -20,6 +24,8 @@ give the same floats, for label counts on both sides of numpy's
 eight-term pairwise summation, on ragged rows with garbage in the
 padding and with broadcast and materialized transitions alike.
 """
+
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,7 +37,7 @@ from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence
 from repro.crf.model import ChainCRF
 from repro.crf.objective import ParamView
-from tests.crf_data import indexed
+from tests.crf_data import indexed, pack, unpack
 from tests.test_crf_inference import ragged_batch
 
 
@@ -203,10 +209,11 @@ def _occurrences(sequences, t_max):
     t1 = max(t_max - 1, 1)
     obs_rt, obs_a, edge_rt, edge_a = [], [], [], []
     for r, seq in enumerate(sequences):
-        for t, ids in enumerate(seq.obs_ids):
+        obs_ids, edge_ids = unpack(seq)
+        for t, ids in enumerate(obs_ids):
             obs_rt += [r * t_max + t] * len(ids)
             obs_a += ids
-        for t, ids in enumerate(seq.edge_ids):
+        for t, ids in enumerate(edge_ids):
             if t and ids:
                 edge_rt += [r * t1 + t - 1] * len(ids)
                 edge_a += ids
@@ -347,16 +354,73 @@ def test_design_matrices_hold_every_occurrence_in_order():
 
 
 def test_design_matrices_reject_out_of_range_ids():
-    rng = np.random.default_rng(2)
-    dataset, index = random_dataset(rng, 3)
-    seq = dataset[0][0]
-    flat, counts = seq.packed_obs()
-    bad = flat.copy()
-    bad[0] = index.n_obs
-    with pytest.raises(ValueError, match="attribute id"):
-        EncodedBatch.from_encoded(
-            [EncodedSequence.from_packed(bad, counts, seq.edge_ids)], index
-        )
+    index, _ = indexed(["a", "b"], [([["x"], ["y"]], [[], ["NL"]])])
+    # One id past the vocabulary, on the observation side, then on the
+    # edge side (on the second token: the first token's never count).
+    for obs_flat, edge_flat in (
+        ([0, index.n_obs], [0]),
+        ([0, 1], [index.n_edge]),
+    ):
+        seq = EncodedSequence(obs_flat, [1, 1], edge_flat, [0, 1])
+        with pytest.raises(ValueError, match="attribute id"):
+            EncodedBatch.from_encoded([seq], index)
+
+
+# ----------------------------------------------------------------------
+# The per-token edge loop, kept as the reference for the packed build
+# ----------------------------------------------------------------------
+
+
+def reference_edge_matrix(sequences):
+    """``(indptr, indices, data)`` of the edge matrix built the way it
+    was while edge ids were per-token lists: a loop over every token
+    from the second on, skipping tokens without ids."""
+    t1 = max(max(len(seq) for seq in sequences) - 1, 0)
+    edge_pos, edge_counts, edge_lists = [], [], []
+    for r, seq in enumerate(sequences):
+        for t, ids in enumerate(unpack(seq)[1]):
+            if t and ids:
+                edge_pos.append(r * t1 + t - 1)
+                edge_counts.append(len(ids))
+                edge_lists.append(ids)
+    slot_counts = np.zeros(len(sequences) * t1, dtype=np.intp)
+    slot_counts[edge_pos] = edge_counts
+    indptr = np.zeros(len(slot_counts) + 1, dtype=np.intp)
+    np.cumsum(slot_counts, out=indptr[1:])
+    ids = np.array(list(chain.from_iterable(edge_lists)), dtype=np.intp)
+    return indptr, ids, np.ones(len(ids))
+
+
+#: Per-token edge ids: none, or distinct ids in any (unsorted) order.
+EDGE_IDS = st.lists(
+    st.integers(min_value=0, max_value=4), unique=True, max_size=4
+)
+
+
+@given(
+    st.lists(
+        st.lists(EDGE_IDS, min_size=1, max_size=6), min_size=0, max_size=6
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_edge_matrix_equals_the_per_token_loop(records):
+    # Every batch also holds a record whose first token carries ids
+    # (which no transition reads) and whose later tokens hold unsorted
+    # ids and none, and a length-1 record with ids of its own.
+    records = [[[3, 1], [2, 0, 4], [], [4, 1]], *records, [[2]]]
+    index, _ = indexed(["a", "b"], [[["x"]]])
+    index.edge_vocab.update({f"e{i}": i for i in range(5)})
+    sequences = [
+        pack([[0] for _ in edge_ids], edge_ids) for edge_ids in records
+    ]
+    matrix = EncodedBatch.from_encoded(sequences, index).edge_matrix
+    indptr, ids, data = reference_edge_matrix(sequences)
+    assert np.array_equal(matrix.indptr, indptr)
+    assert np.array_equal(matrix.indices, ids)
+    assert np.array_equal(matrix.data, data)
+    assert matrix.nnz == sum(
+        len(token) for edge_ids in records for token in edge_ids[1:]
+    )
 
 
 @given(
@@ -523,9 +587,6 @@ def test_objective_is_bit_identical_to_the_reference(
     )
     params = rng.normal(scale=0.7, size=index.n_features)
     batch = EncodedBatch(dataset, index)
-    emit, trans = batch.potentials(ParamView.of(params, index))
-    # Without edge attributes the transitions are one broadcast matrix.
-    assert (trans.strides[1] == 0) == (not batch.edge_matrix.nnz)
     nll, grad = batch_nll_grad(params, [batch], index, l2=0.3)
     ref_nll, ref_grad = reference_nll_grad(params, dataset, index, l2=0.3)
     assert nll == ref_nll

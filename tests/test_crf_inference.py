@@ -37,7 +37,7 @@ def ragged_batch(lengths, n_states):
     the tests supply the potentials themselves)."""
     index = FeatureIndex([f"y{j}" for j in range(n_states)])
     return EncodedBatch.from_encoded(
-        [EncodedSequence([[]] * n, [[]] * n) for n in lengths], index
+        [EncodedSequence([], [0] * n, [], [0] * n) for n in lengths], index
     )
 
 
@@ -198,7 +198,7 @@ def test_posterior_score_length_mismatch():
     # token; a label sequence of another length is an error, not a
     # silent broadcast.
     index = FeatureIndex(["a", "b"])
-    encoded = EncodedSequence([[], [], []], [[], [], []])
+    encoded = EncodedSequence([], [0, 0, 0], [], [0, 0, 0])
     for labels in ([0], [0, 1], [0, 1, 0, 1]):
         with pytest.raises(ValueError):
             EncodedBatch([(encoded, labels)], index)

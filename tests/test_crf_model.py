@@ -106,7 +106,7 @@ def test_feature_index_roundtrip():
 
 def test_sequence_edge_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        EncodedSequence([[0], [1]], [[0]])
+        EncodedSequence([0, 1], [1, 1], [0], [1])
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_log_likelihood_ordering():
 
 def test_empty_prediction():
     crf = _fit_weather()
-    assert crf.predict_many([EncodedSequence([], [])]) == [[]]
+    assert crf.predict_many([EncodedSequence([], [], [], [])]) == [[]]
 
 
 def test_fit_validates_lengths():

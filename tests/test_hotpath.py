@@ -28,6 +28,7 @@ from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.objective import ParamView
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.parser import WhoisParser
+from repro.parser import bulk
 from repro.parser.bulk import LineEncoder
 from repro.serve import ModelRegistry
 
@@ -396,17 +397,16 @@ def test_encoder_cache_file_with_labelability_arrays_still_loads(
 
 
 def test_encoder_cache_loads_into_a_warm_encoder_under_its_cap(
-    world, saved_cache
+    world, saved_cache, monkeypatch
 ):
     _parser, texts, model_dir = world
     _warm, path = saved_cache
     cap = 40
     parser = WhoisParser.load(model_dir)
     profiles: dict = {}
+    monkeypatch.setattr(bulk, "CACHE_SIZE", cap)
     parser._bulk_encoders = tuple(
-        LineEncoder(
-            parser.featurizer, crf.index, cache_size=cap, profiles=profiles
-        )
+        LineEncoder(parser.featurizer, crf.index, profiles=profiles)
         for crf in (parser.block_crf, parser.registrant_crf)
     )
     parser.parse_many(texts[:1])
@@ -427,6 +427,7 @@ def test_encoder_cache_loads_into_a_warm_encoder_under_its_cap(
         assert all(lines[key] is value for key, value in old_lines.items())
         assert old_ctx.items() <= ctx.items()
     assert loaded == sum(cap - len(old) for old, _ctx in before)
+    monkeypatch.undo()
     assert parser.parse_many(texts) == WhoisParser.load(model_dir).parse_many(
         texts
     )
@@ -504,25 +505,18 @@ def test_registry_persists_and_warm_starts_encoder_cache(
     assert clean_registry.gauge_value("serve.encoder_cache_warm_entries") > 0
 
 
-def test_encoder_cache_full_counter_surfaces(world, clean_registry):
+def test_encoder_cache_full_counter_surfaces(
+    world, clean_registry, monkeypatch
+):
     _parser, texts, model_dir = world
+    baseline = WhoisParser.load(model_dir).parse_many(texts[:10])
     parser = WhoisParser.load(model_dir)
     profiles: dict = {}
-    parser._bulk_encoders = (
-        LineEncoder(
-            parser.featurizer,
-            parser.block_crf.index,
-            cache_size=2,
-            profiles=profiles,
-        ),
-        LineEncoder(
-            parser.featurizer,
-            parser.registrant_crf.index,
-            cache_size=2,
-            profiles=profiles,
-        ),
+    monkeypatch.setattr(bulk, "CACHE_SIZE", 2)
+    parser._bulk_encoders = tuple(
+        LineEncoder(parser.featurizer, crf.index, profiles=profiles)
+        for crf in (parser.block_crf, parser.registrant_crf)
     )
-    baseline = WhoisParser.load(model_dir).parse_many(texts[:10])
     assert parser.parse_many(texts[:10]) == baseline  # cap never corrupts
     assert (
         clean_registry.counter_value("parse.encoder_cache_full", level="block")
@@ -535,11 +529,10 @@ def test_encoder_cache_full_counter_surfaces(world, clean_registry):
     assert _cache_hits(parser) > 0
 
 
-def test_line_encoder_drain_includes_full_skips(world):
+def test_line_encoder_drain_includes_full_skips(world, monkeypatch):
     parser, _texts, _model_dir = world
-    encoder = LineEncoder(
-        parser.featurizer, parser.block_crf.index, cache_size=3
-    )
+    monkeypatch.setattr(bulk, "CACHE_SIZE", 3)
+    encoder = LineEncoder(parser.featurizer, parser.block_crf.index)
     lines = [f"Field {i}: value {i}" for i in range(12)]
     encoder.encode_record(lines)
     hits, misses, full = encoder.drain_cache_stats()
@@ -548,12 +541,15 @@ def test_line_encoder_drain_includes_full_skips(world):
     assert encoder.drain_cache_stats() == (0, 0, 0)  # deltas, not totals
 
 
-def test_header_context_memo_stays_under_the_cap(world):
+def test_header_context_memo_stays_under_the_cap(world, monkeypatch):
     # Every fresh block header with an indented line under it adds a
     # header-context entry; a serving process must not grow with them.
     parser, _texts, _model_dir = world
     index = parser.block_crf.index
-    encoder = LineEncoder(parser.featurizer, index, cache_size=100)
+    fresh = LineEncoder(parser.featurizer, index)
+    full = LineEncoder(parser.featurizer, index)
+    monkeypatch.setattr(bulk, "CACHE_SIZE", 100)
+    encoder = LineEncoder(parser.featurizer, index)
     records = [[f"Zq{i}x:", "   Indented line"] for i in range(5_000)]
     for lines in records:
         encoder.encode_record(lines)
@@ -561,13 +557,11 @@ def test_header_context_memo_stays_under_the_cap(world):
     # Skipped line profiles and header contexts both count.
     assert encoder.cache_full_skips >= 2 * (5_000 - 100)
     # Past the cap a header resolves to the same ids as before it.
-    fresh = LineEncoder(parser.featurizer, index)
     assert encoder.encode_record(records[-1]) == fresh.encode_record(records[-1])
     # A cache file takes no more header contexts than the cap either.
-    full = LineEncoder(parser.featurizer, index, cache_size=10**6)
     for lines in records[:300]:
         full.encode_record(lines)
-    small = LineEncoder(parser.featurizer, index, cache_size=100)
+    small = LineEncoder(parser.featurizer, index)
     small.load_cache_state(small.read_cache_arrays(full.cache_arrays()))
     assert len(full._ctx) == 300
     assert len(small._ctx) <= 100 and len(small._lines) <= 100

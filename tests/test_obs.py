@@ -12,7 +12,8 @@ import pytest
 
 from repro import obs
 from repro.netsim.clock import SimClock
-from repro.obs.metrics import DEFAULT_BOUNDS, OVERFLOW_LABELS, Histogram
+from repro.obs import metrics
+from repro.obs.metrics import BOUNDS, OVERFLOW_LABELS, Histogram
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +48,7 @@ def test_counter_and_gauge_roundtrip():
 
 
 def test_histogram_exact_quantiles_within_sample():
-    histogram = Histogram(sample_size=1024)
+    histogram = Histogram()
     for value in range(1, 101):  # 1..100
         histogram.observe(float(value))
     assert histogram.count == 100
@@ -60,8 +61,9 @@ def test_histogram_exact_quantiles_within_sample():
     assert histogram.quantile(1.0) == 100.0
 
 
-def test_histogram_bucket_quantiles_past_sample():
-    histogram = Histogram(sample_size=10)
+def test_histogram_bucket_quantiles_past_sample(monkeypatch):
+    monkeypatch.setattr(metrics, "SAMPLE_SIZE", 10)
+    histogram = Histogram()
     for value in range(1000):
         histogram.observe(0.001 + (value % 100) * 0.0001)  # 1ms..11ms
     assert histogram.count == 1000
@@ -79,8 +81,8 @@ def test_histogram_snapshot_buckets_are_cumulative():
     histogram.observe(9999.0)   # above every bound -> +Inf only
     snapshot = histogram.snapshot()
     buckets = snapshot["buckets"]
-    assert buckets[repr(DEFAULT_BOUNDS[0])] == 1
-    assert buckets[repr(DEFAULT_BOUNDS[-1])] == 2
+    assert buckets[repr(BOUNDS[0])] == 1
+    assert buckets[repr(BOUNDS[-1])] == 2
     assert buckets["+Inf"] == 3
     assert snapshot["count"] == 3
     assert snapshot["sum"] == pytest.approx(0.0005 + 0.003 + 9999.0)
@@ -93,8 +95,9 @@ def test_empty_histogram_quantile_and_bad_q():
         histogram.quantile(1.5)
 
 
-def test_label_cardinality_cap_collapses_to_overflow():
-    registry = obs.MetricsRegistry(max_series=4)
+def test_label_cardinality_cap_collapses_to_overflow(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_SERIES", 4)
+    registry = obs.MetricsRegistry()
     for i in range(10):
         registry.inc("crawler.queries", server=f"server-{i}.example")
     series = registry.counter_series("crawler.queries")

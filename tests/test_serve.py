@@ -29,6 +29,7 @@ from repro.serve import (
     ServeConfig,
     run_load,
 )
+from repro.serve import admission as admission_module
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +168,13 @@ def test_admission_sheds_overload_with_typed_errors():
     assert admission.rejected == 1
 
 
-def test_admission_per_client_rate_limit_follows_netsim_semantics():
+def test_admission_per_client_rate_limit_follows_netsim_semantics(
+    monkeypatch,
+):
     clock = SimClock()
+    monkeypatch.setattr(admission_module, "RATE_PENALTY", 5.0)
     admission = AdmissionController(
-        queue_depth=100, rate_limit=2, rate_window=1.0, rate_penalty=5.0,
-        clock=clock,
+        queue_depth=100, rate_limit=2, clock=clock
     )
     admission.admit("crawler")
     admission.release()
@@ -267,6 +270,46 @@ def test_hot_swap_under_sustained_load_drops_nothing(world):
     assert load.failures == 0 and load.rejected == 0
     assert load.count == 80
     assert app.models.current_parser is replacement
+
+
+class _RenamingParser:
+    """Parses as ``parser`` does, but names another registrar."""
+
+    def __init__(self, parser) -> None:
+        self._parser = parser
+
+    def parse_many(self, records):
+        parsed = [copy.copy(p) for p in self._parser.parse_many(records)]
+        for record in parsed:
+            record.registrar = "Rollback Test Registrar"
+        return parsed
+
+
+def test_rollback_model_drops_the_rdap_cache(world):
+    parser, corpus, _records = world
+    domain = corpus[50].domain
+    app = make_app(world)
+
+    async def scenario():
+        await app.start()
+        old_version = app.models.current_version
+        before = await app.rdap_domain(domain)
+        app.swap_model(_RenamingParser(parser))
+        swapped = await app.rdap_domain(domain)
+        assert domain in app.gateway._cache  # warm, from the new model
+        version = app.rollback_model()
+        cached = dict(app.gateway._cache)
+        after = await app.rdap_domain(domain)
+        await app.stop()
+        return old_version, before, swapped, version, cached, after
+
+    old_version, before, swapped, version, cached, after = asyncio.run(
+        scenario()
+    )
+    assert version == old_version == app.models.current_version
+    assert cached == {}
+    assert swapped != before
+    assert after == before
 
 
 # ----------------------------------------------------------------------

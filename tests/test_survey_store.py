@@ -36,6 +36,7 @@ from repro.survey.analysis import (
 )
 from repro.survey.changes import diff_snapshots
 from repro.survey.database import DomainEntry, SurveyDatabase
+from repro.survey import store as store_module
 from repro.survey.ingest import IngestJob, sharded_ingest
 from repro.survey.store import (
     EntryFilter,
@@ -77,11 +78,12 @@ def _populate(db: SurveyDatabase, *, seed: int = 900, n: int = 400) -> None:
 
 def _both_backends(tmp_path, *, seed=900, n=400):
     memory = SurveyDatabase(MemoryStore())
-    replica = SurveyDatabase(
-        SqliteStore(tmp_path / "survey.db", fresh=True, batch_size=64)
-    )
+    replica = SurveyDatabase(SqliteStore(tmp_path / "survey.db", fresh=True))
     _populate(memory, seed=seed, n=n)
-    _populate(replica, seed=seed, n=n)
+    with pytest.MonkeyPatch.context() as patch:
+        # The replica commits in several batches, as a large ingest does.
+        patch.setattr(store_module, "BATCH_SIZE", 64)
+        _populate(replica, seed=seed, n=n)
     return memory, replica
 
 
@@ -224,9 +226,11 @@ def test_crash_mid_ingest_exposes_no_partial_batch(tmp_path):
     child = textwrap.dedent(f"""
         import datetime, os
         from repro.survey.database import DomainEntry
+        from repro.survey import store as store_module
         from repro.survey.store import SqliteStore
 
-        store = SqliteStore({str(path)!r}, fresh=True, batch_size=5)
+        store_module.BATCH_SIZE = 5
+        store = SqliteStore({str(path)!r}, fresh=True)
         for i in range(7):  # 5 auto-commit as one batch, 2 stay buffered
             store.append(DomainEntry(
                 domain=f"d{{i}}.com", registrar="GoDaddy", country="US",

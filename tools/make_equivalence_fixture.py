@@ -184,13 +184,18 @@ def build_encoding_outputs() -> dict:
         outputs[name] = _line_profile_rows(
             parser, [record.text for record in corpus[:n]]
         )
+    from repro.crf.features import split_ids
+
     parser, corpus = citations_world()
     block, _registrant = parser._encoders()
     rows = []
     for record in corpus[:ENCODING_N_CITATIONS]:
         encoded = block.encode_record(parser._raw_lines(record.text))
-        flat, counts = encoded.packed_obs()
-        rows.append([flat.tolist(), counts.tolist(), encoded.edge_ids])
+        rows.append([
+            encoded.obs_flat.tolist(),
+            encoded.obs_counts.tolist(),
+            split_ids(encoded.edge_flat, encoded.edge_counts),
+        ])
     outputs["citations"] = rows
     return outputs
 
